@@ -198,10 +198,13 @@ def v2d_quadrature(spec: families.FamilySpec, delta: float,
     """Absolute slice volume by midpoint quadrature of the closed-form slice."""
     if radius is None:
         radius = numerics.tail_radius(families.slice_abs_envelope(spec))
-    grid = numerics.disc_grid(delta, radius)
-    vals = np.abs(families.family_wigner_slice(spec, grid.centers()))
+    value = numerics.midpoint_lattice_integral(
+        lambda x, y: np.abs(families.family_wigner_slice_xy(spec, x, y)),
+        numerics.disc_grid(delta, radius),
+        **families.slice_symmetries(spec),
+    )
     scale = (2.0 / math.pi) * (math.pi / 2.0) ** spec.modes
-    return scale * numerics.midpoint_integral(vals, delta)
+    return scale * value
 
 
 def _volume_report(spec, value, estimator, extra=None) -> witnesses.WitnessReport:

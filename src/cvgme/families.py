@@ -388,56 +388,89 @@ def family_wigner_slice(spec: FamilySpec, alpha):
     w, cat, dicke2, psi1 and psi2 families; others have no closed slice form.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    u = np.abs(alpha) ** 2
+    out = family_wigner_slice_xy(spec, alpha.real, alpha.imag)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def family_wigner_slice_xy(spec: FamilySpec, x, y) -> np.ndarray:
+    """The slice Wigner function at alpha = x + iy, for real x, y that broadcast.
+
+    When x and y differ in shape (a lattice: x a column, y a row), every
+    exponential and trigonometric factor is split into an x part times a y
+    part, so the transcendental work is O(rows + columns) and the plane is
+    filled by products alone.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    split = x.shape != y.shape
+    u = x * x + y * y
     m = spec.modes
     scale = (2.0 / math.pi) ** m
 
-    if spec.tag == "w":
-        out = scale * np.exp(-2.0 * m * u) * (
-            (1.0 - spec.eta) * 4.0 * m * u + 2.0 * spec.eta - 1.0
-        )
-    elif spec.tag == "dicke2":
-        out = scale * np.exp(-2.0 * m * u) * (
-            1.0 + 8.0 * (m - 1) * u * (m * u - 1.0)
-        )
-    elif spec.tag == "cat":
+    def gauss(c, x0=0.0, y0=0.0):
+        # exp(-c |alpha - (x0 + i y0)|^2)
+        if split:
+            return np.exp(-c * (x - x0) ** 2) * np.exp(-c * (y - y0) ** 2)
+        if x0 == 0.0 and y0 == 0.0:
+            return np.exp(-c * u)
+        return np.exp(-c * ((x - x0) ** 2 + (y - y0) ** 2))
+
+    def cos_diff(a, b):
+        # cos(a - b) for a on the y axis and b on the x axis
+        if split:
+            return np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b)
+        return np.cos(a - b)
+
+    if spec.tag in ("w", "dicke2", "psi2"):
+        if spec.tag == "w":
+            poly = (1.0 - spec.eta) * 4.0 * m * u + 2.0 * spec.eta - 1.0
+            return scale * gauss(2.0 * m) * poly
+        if spec.tag == "dicke2":
+            return scale * gauss(2.0 * m) * (1.0 + 8.0 * (m - 1) * u * (m * u - 1.0))
+        return 4.0 / math.pi**3 * gauss(6.0) * (1.0 - 30.0 * u + 108.0 * u**2)
+    if spec.tag == "cat":
         gamma = spec.gamma
         g = math.sqrt(1.0 - spec.eta) * gamma
         c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
         n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
-        out = (scale / n_plus) * (
-            np.exp(-2.0 * m * np.abs(alpha - g) ** 2)
-            + np.exp(-2.0 * m * np.abs(alpha + g) ** 2)
-            + 2.0
-            * c
-            * np.exp(-2.0 * m * u)
-            * np.cos(4.0 * m * (alpha * np.conj(g)).imag)
+        # cos(4M Im(alpha conj g)) with Im(alpha conj g) = y Re g - x Im g
+        fringe = cos_diff(4.0 * m * g.real * y, 4.0 * m * g.imag * x)
+        return (scale / n_plus) * (
+            gauss(2.0 * m, g.real, g.imag)
+            + gauss(2.0 * m, -g.real, -g.imag)
+            + 2.0 * c * gauss(2.0 * m) * fringe
         )
-    elif spec.tag == "psi1":
+    if spec.tag == "psi1":
         a = 16.0 + 3.0 * _SQ23
-        re = alpha.real
-        out = (
-            np.exp(-6.0 * u)
+        return (
+            gauss(6.0)
             / (16.0 * math.pi**3)
             * (
                 a * (12.0 * u - 1.0) ** 2
-                + 8.0 * _SQ6 * re * a * (6.0 * u - 1.0)
+                + 8.0 * _SQ6 * x * a * (6.0 * u - 1.0)
                 + 48.0
                 - 15.0 * _SQ23
             )
         )
-    elif spec.tag == "psi2":
-        out = (
-            4.0
-            * np.exp(-6.0 * u)
-            / math.pi**3
-            * (1.0 - 30.0 * u + 108.0 * u**2)
-        )
-    else:
+    raise ValueError("no closed slice form for family %r" % spec.tag)
+
+
+def slice_symmetries(spec: FamilySpec) -> dict:
+    """The reflections that leave the closed slice form unchanged.
+
+    ``point_even``: W(-alpha) = W(alpha); ``conj_even``: W(conj alpha) =
+    W(alpha).  The radial w, dicke2 and psi2 slices have both; psi1 is odd
+    in Re alpha; the cat swaps its two Gaussians under alpha -> -alpha and is
+    even under conjugation only for real gamma.
+    """
+    if spec.tag not in ("w", "dicke2", "psi2", "psi1", "cat"):
         raise ValueError("no closed slice form for family %r" % spec.tag)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return {
+        "point_even": spec.tag != "psi1",
+        "conj_even": spec.tag != "cat" or spec.gamma.imag == 0.0,
+    }
 
 
 def slice_abs_envelope(spec: FamilySpec):

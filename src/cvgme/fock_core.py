@@ -1,10 +1,12 @@
 """Truncated multimode Fock-space states.
 
-States live in a sparse amplitude representation: a mapping from occupation
-vectors (tuples of per-mode photon counts) to complex amplitudes.  All the
-closed-form state families used elsewhere have at most a few dozen nonzero
-amplitudes, so sparse maps keep the brute-force reference path cheap enough
-to cross-check every analytic formula.
+A state is stored as an occupation map: occupation vectors (tuples of
+per-mode photon counts) to complex amplitudes.  The state families build
+their truncated-Fock expansions in this form, and it is the exchange format
+of the package.  The brute-force oracle (`gaussian_ops`, `phase_space`, the
+collective-parity witness) does not compute on the map: on entry it turns
+each state into a dense array of shape (cutoff+1,)*M and works with whole
+single-mode matrices on that.
 
 Mixed states are stored as weighted ensembles of pure states rather than
 density matrices; every mixture needed here (loss channels on small

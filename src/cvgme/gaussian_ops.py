@@ -1,9 +1,18 @@
 """Exact operations on truncated Fock states.
 
-Displacements use the associated-Laguerre closed form for number-basis matrix
-elements (exact at any truncation, unlike exponentiating a truncated ladder
-operator).  Multiport beamsplitters act by multinomial expansion of creation
-operators; amplitude damping by per-mode Kraus branching.
+The oracle works on dense amplitude arrays of shape (cutoff+1,)*M: a state's
+occupation map is turned into one by :func:`dense_amplitudes` when an oracle
+function is entered, and a single-mode operator acts on it as one
+``np.tensordot`` per mode (:func:`apply_mode_matrices`).
+
+Displacements use the whole number-basis matrix <m|D(beta)|n> from
+:func:`displacement_matrix`.  Each diagonal m - n = k of that matrix is a
+normalized Laguerre function of |beta|^2, built by its three-term recurrence
+in n, which never forms the factorial ratios or powers of beta that overflow
+or underflow; elements are exact at any truncation, unlike exponentiating a
+truncated ladder operator.  Multiport beamsplitters act by multinomial
+expansion of creation operators; amplitude damping by per-mode Kraus
+branching.
 
 The balanced multiport +/-(I - (2/M)J) implements the parity of the
 centre-of-mass mode: conjugation sends a_m to +/-(1-2/M)a_m -/+ (2/M) times
@@ -13,26 +22,33 @@ the sum of the others, and the vacuum is left invariant.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
+from scipy.special import gammaln
 
 from .fock_core import (
     DimensionError,
     MixedState,
     PureState,
     as_ensemble,
-    inner_product,
     normalize,
 )
 
-# hard ceiling for the brute-force reference path; multinomial expansion
-# cost explodes combinatorially beyond this
+# photon-number ceiling of the brute-force reference path: the multinomial
+# expansion of apply_linear_optical and the centre-of-mass moments of
+# witness_c grow combinatorially with it
 DEFAULT_PHOTON_BUDGET = 8
+
+# ceiling on the complex entries of one dense oracle tensor (32 MiB)
+MAX_DENSE_ENTRIES = 1 << 21
 
 TRUNCATION_TOL = 1e-10
 NORM_LOSS_LIMIT = 1e-6
+
+# e^(-|beta|^2/2) = <0|D(beta)|0> leaves the normal double range beyond this
+MAX_DISPLACEMENT_SQ = -2.0 * math.log(sys.float_info.min)
 
 
 class ResourceLimitError(RuntimeError):
@@ -43,37 +59,82 @@ class CutoffError(ValueError):
     """Raised when a displacement loses too much norm to truncation."""
 
 
-def displacement_matrix_element(m: int, n: int, beta: complex) -> complex:
-    """<m|D(beta)|n> in the number basis.
+def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
+    """The dim x dim block <m|D(beta)|n>, m, n = 0..dim-1.
 
-    For m >= n this is sqrt(n!/m!) beta^(m-n) e^(-|beta|^2/2) L_n^(m-n)(|beta|^2);
-    the m < n case follows from D(beta)^dagger = D(-beta).
+    For m = n + k >= n the element is e^(ik arg beta) f_n^k(|beta|^2) with the
+    normalized Laguerre function
+    f_n^k(x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^k(x), bounded by 1 and
+    built by the recurrence
+    sqrt((n+1)(n+k+1)) f_(n+1) = (2n+1+k-x) f_n - sqrt(n(n+k)) f_(n-1),
+    vectorized over k.  The upper triangle follows from
+    D(beta)^dagger = D(-beta).  Raises ValueError once e^(-|beta|^2/2)
+    underflows (|beta| above about 37.6), where the elements would be lost.
     """
+    if dim < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    beta = complex(beta)
+    x = beta.real * beta.real + beta.imag * beta.imag
+    if not math.isfinite(x) or x > MAX_DISPLACEMENT_SQ:
+        raise ValueError(
+            "|beta| = %.6g is out of range: e^(-|beta|^2/2) underflows beyond "
+            "|beta| = %.4g" % (math.sqrt(x), math.sqrt(MAX_DISPLACEMENT_SQ))
+        )
+    if x == 0.0:
+        return np.eye(dim, dtype=complex)
+    k = np.arange(dim, dtype=float)
+    f = np.empty((dim, dim))  # f[n, k] = f_n^k(x)
+    f[0] = np.exp(0.5 * k * math.log(x) - 0.5 * gammaln(k + 1.0) - 0.5 * x)
+    if dim > 1:
+        f[1] = f[0] * (1.0 + k - x) / np.sqrt(k + 1.0)
+    for n in range(1, dim - 1):
+        f[n + 1] = ((2 * n + 1 + k - x) * f[n] - np.sqrt(n * (n + k)) * f[n - 1]) / (
+            np.sqrt((n + 1) * (n + k + 1))
+        )
+    n_idx, k_idx = np.nonzero(np.add.outer(k, k) < dim)  # n + k < dim
+    vals = f[n_idx, k_idx]
+    phase = np.exp(1j * math.atan2(beta.imag, beta.real) * k)[k_idx]
+    out = np.empty((dim, dim), dtype=complex)
+    out[n_idx + k_idx, n_idx] = phase * vals
+    out[n_idx, n_idx + k_idx] = (-1.0) ** k_idx * phase.conj() * vals
+    return out
+
+
+def displacement_matrix_element(m: int, n: int, beta: complex) -> complex:
+    """<m|D(beta)|n> in the number basis."""
     if m < 0 or n < 0:
         raise ValueError("negative Fock index")
-    beta = complex(beta)
-    if m < n:
-        return displacement_matrix_element(n, m, -beta).conjugate()
-    if beta == 0:
-        return 1.0 + 0.0j if m == n else 0.0j
-    b2 = beta.real * beta.real + beta.imag * beta.imag
-    # sqrt(n!/m!) = 1/sqrt((n+1)(n+2)...m)
-    ratio = 1.0
-    for k in range(n + 1, m + 1):
-        ratio /= k
-    return (
-        math.sqrt(ratio)
-        * beta ** (m - n)
-        * math.exp(-0.5 * b2)
-        * eval_genlaguerre(n, m - n, b2)
-    )
+    return complex(displacement_matrix(beta, max(m, n) + 1)[m, n])
 
 
-def _displacement_column(n: int, beta: complex, out_max: int) -> np.ndarray:
-    """Column vector <k|D(beta)|n> for k = 0..out_max."""
-    return np.array(
-        [displacement_matrix_element(k, n, beta) for k in range(out_max + 1)]
-    )
+def dense_amplitudes(state: PureState, max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
+    """The amplitudes of `state` as an array of shape (cutoff+1,)*modes.
+
+    Raises ResourceLimitError instead of allocating more than `max_entries`.
+    """
+    shape = (state.cutoff + 1,) * state.modes
+    check_dense_size(shape, max_entries)
+    arr = np.zeros(shape, dtype=complex)
+    if state.amps:
+        arr[tuple(np.array(list(state.amps)).T)] = list(state.amps.values())
+    return arr
+
+
+def check_dense_size(shape, max_entries: int = MAX_DENSE_ENTRIES) -> None:
+    """Refuse a dense tensor of `shape` with more than `max_entries` entries."""
+    entries = math.prod(shape)
+    if entries > max_entries:
+        raise ResourceLimitError(
+            "a dense tensor of shape %r has %d entries, above the budget %d"
+            % (tuple(shape), entries, max_entries)
+        )
+
+
+def apply_mode_matrices(arr: np.ndarray, mats) -> np.ndarray:
+    """Apply mats[m] (rows x arr.shape[m]) to axis m of `arr`, for every m."""
+    for axis, mat in enumerate(mats):
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    return arr
 
 
 def apply_displacement(state: PureState, betas) -> PureState:
@@ -95,30 +156,15 @@ def apply_displacement(state: PureState, betas) -> PureState:
     headroom = int(math.ceil(4.0 * bmax * bmax + 6.0))
     work_cutoff = state.cutoff + headroom
 
-    amps = dict(state.amps)
     in_norm = state.norm_sq()
     if in_norm == 0.0:
         raise ValueError("null state: nothing to displace")
 
-    for mode, beta in enumerate(betas):
-        if beta == 0:
-            continue
-        columns = {}
-        new_amps = {}
-        for key, amp in amps.items():
-            n = key[mode]
-            col = columns.get(n)
-            if col is None:
-                col = _displacement_column(n, beta, work_cutoff)
-                columns[n] = col
-            for k in range(work_cutoff + 1):
-                c = col[k]
-                if c == 0:
-                    continue
-                new_key = key[:mode] + (k,) + key[mode + 1 :]
-                val = new_amps.get(new_key, 0.0) + amp * c
-                new_amps[new_key] = val
-        amps = {k: v for k, v in new_amps.items() if abs(v) > 1e-16}
+    check_dense_size((work_cutoff + 1,) * state.modes)
+    mats = [displacement_matrix(b, work_cutoff + 1)[:, : state.cutoff + 1] for b in betas]
+    arr = apply_mode_matrices(dense_amplitudes(state), mats)
+    keys = np.argwhere(np.abs(arr) > 1e-16)
+    amps = dict(zip(map(tuple, keys.tolist()), arr[tuple(keys.T)].tolist()))
 
     out = PureState(state.modes, work_cutoff, amps)
     loss = abs(out.norm_sq() - in_norm)

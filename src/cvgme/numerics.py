@@ -45,14 +45,29 @@ class GridSpec:
         if self.delta > self.radius:
             raise ValueError("grid spacing exceeds the disc radius (empty grid)")
 
-    def indices(self):
-        """Integer lattice coordinates (n_R, n_I) of the retained cells."""
+    def _rows(self):
+        """Lattice rows n = -nmax..nmax and the half-width of each row.
+
+        Row n_R keeps the cells with |n_I| <= k[n_R], i.e. exactly those with
+        n_R^2 + n_I^2 <= (radius/delta)^2 (+1e-9); k is -1 for an empty row.
+        """
         nmax = int(math.floor(self.radius / self.delta + 1e-9))
-        rng = np.arange(-nmax, nmax + 1)
-        n_re, n_im = np.meshgrid(rng, rng, indexing="ij")
         limit = (self.radius / self.delta) ** 2 + 1e-9
-        mask = n_re * n_re + n_im * n_im <= limit
-        return n_re[mask], n_im[mask]
+        rows = np.arange(-nmax, nmax + 1)
+        sq = rows * rows
+        k = np.floor(np.sqrt(np.maximum(limit - sq, 0.0))).astype(rows.dtype)
+        # settle the rounding of the float square root by the integer test
+        k += sq + (k + 1) ** 2 <= limit
+        k -= sq + k * k > limit
+        return rows, k
+
+    def indices(self):
+        """Integer lattice coordinates (n_R, n_I) of the retained cells, row by row."""
+        rows, k = self._rows()
+        counts = np.maximum(2 * k + 1, 0)
+        n_re = np.repeat(rows, counts)
+        first = np.repeat(np.cumsum(counts) - counts + k, counts)
+        return n_re, np.arange(n_re.size) - first
 
     def centers(self) -> np.ndarray:
         """Cell centers as a flat complex array."""
@@ -85,6 +100,45 @@ def rigorous_error(grid: GridSpec, modes: int, energy_bound: float) -> float:
 def midpoint_integral(fn_values: np.ndarray, delta: float) -> float:
     """Midpoint-rule integral of sampled values over their square cells."""
     return float(delta * delta * np.sum(fn_values))
+
+
+# cells per block of midpoint_lattice_integral: small enough to stay in cache
+LATTICE_BLOCK_CELLS = 1 << 16
+
+
+def midpoint_lattice_integral(fn, grid: GridSpec, point_even: bool = False,
+                              conj_even: bool = False) -> float:
+    """Midpoint-rule integral of fn(x, y) over the retained cells of `grid`.
+
+    `fn` gets a column x of row coordinates n_R*delta and a row y of column
+    coordinates n_I*delta, and returns the values on the block they span
+    (see `families.family_wigner_slice_xy`).  Rows are taken a block at a
+    time, each over the columns its widest row needs, so no array holds much
+    more than LATTICE_BLOCK_CELLS values.
+
+    The disc is symmetric under both reflections below, so a symmetry of
+    `fn` lets the sum visit half the cells and count the mirrored ones
+    twice: `point_even` (fn(-x, -y) = fn(x, y)) keeps the rows n_R >= 0,
+    `conj_even` (fn(x, -y) = fn(x, y)) the columns n_I >= 0.  The cells
+    and their weights in the sum are unchanged; only its order differs.
+    """
+    rows, k = grid._rows()
+    nmax = int(rows[-1])  # rows[nmax] is row 0
+    ones = np.ones(rows.size)
+    row_w = np.where(rows > 0, 2.0, 1.0) if point_even else ones
+    col_w = np.where(rows > 0, 2.0, 1.0) if conj_even else ones
+    step = max(1, LATTICE_BLOCK_CELLS // rows.size)
+    total = 0.0
+    for i in range(nmax if point_even else 0, rows.size, step):
+        half = k[i : i + step]
+        width = int(half.max())
+        if width < 0:
+            continue
+        cols = slice(nmax if conj_even else nmax - width, nmax + width + 1)
+        vals = fn(rows[i : i + step, None] * grid.delta, rows[None, cols] * grid.delta)
+        vals = np.where(np.abs(rows[None, cols]) <= half[:, None], vals, 0.0)
+        total += row_w[i : i + step] @ vals @ col_w[cols]
+    return float(grid.delta * grid.delta * total)
 
 
 @dataclass(frozen=True)

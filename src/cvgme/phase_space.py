@@ -1,9 +1,13 @@
 """Pointwise Wigner / characteristic-function evaluation on truncated states.
 
-These are the brute-force reference evaluators: a Wigner value is computed by
-displacing the state and taking a parity expectation, which is exact in the
-truncated space.  Closed-form families (see `families`) are the production
-path; everything here exists so the closed forms can be cross-checked.
+These are the brute-force reference evaluators.  Both are expectations
+<psi|P (x)_m D(xi_m)|psi> on the dense amplitude array of each branch, with P
+the identity (characteristic function) or the parity (Wigner function, by
+D(alpha) Pi D(-alpha) = Pi D(-2 alpha)).  Because |psi> lies in the truncated
+space, only the (cutoff+1) x (cutoff+1) block of each displacement enters,
+so both values are exact without any headroom cutoff.  Closed-form families
+(see `families`) are the production path; everything here exists so the
+closed forms can be cross-checked.
 
 A 2D slice is the set {alpha*y + conj(alpha)*z : alpha in C} for coefficient
 vectors y, z with |y_m|^2 - |z_m|^2 = 1 on every mode.  The diagonal slice
@@ -17,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import as_ensemble, inner_product
-from .gaussian_ops import apply_displacement, parity_expectation
+from .fock_core import as_ensemble
+from .gaussian_ops import apply_mode_matrices, dense_amplitudes, displacement_matrix
+
+# not called here, but perfbench/tracing.py patches these names on this module
+from .fock_core import inner_product  # noqa: F401
+from .gaussian_ops import apply_displacement, parity_expectation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,14 +85,22 @@ def phase_point(values, modes=None):
     return arr
 
 
-def displaced_parity_expectation(state, alphas) -> float:
-    """<Pi(alpha)> = <D(alpha) Pi D(-alpha)>, computed as parity after D(-alpha)."""
-    alphas = phase_point(alphas, getattr(state, "modes", None))
-    total = 0.0
+def _expectation(state, mats) -> complex:
+    """SUM_w weight_w <psi_w| (x)_m mats[m] |psi_w> over the branches."""
+    total = 0.0 + 0.0j
     for w, pure in as_ensemble(state):
-        shifted = apply_displacement(pure, [-a for a in alphas])
-        total += w * parity_expectation(shifted)
+        psi = dense_amplitudes(pure)
+        total += w * np.vdot(psi, apply_mode_matrices(psi, mats))
     return total
+
+
+def displaced_parity_expectation(state, alphas) -> float:
+    """<Pi(alpha)> = <D(alpha) Pi D(-alpha)> = <Pi D(-2 alpha)>."""
+    alphas = phase_point(alphas, getattr(state, "modes", None))
+    dim = state.cutoff + 1
+    sign = (-1.0) ** np.arange(dim)[:, None]
+    mats = [sign * displacement_matrix(-2.0 * a, dim) for a in alphas]
+    return float(_expectation(state, mats).real)
 
 
 def wigner_point(state, alphas) -> float:
@@ -97,11 +113,8 @@ def wigner_point(state, alphas) -> float:
 def characteristic_point(state, xis) -> complex:
     """chi(xi) = <D(xi)>; chi(0) = 1 and chi(-xi) = conj(chi(xi))."""
     xis = phase_point(xis, getattr(state, "modes", None))
-    total = 0.0 + 0.0j
-    for w, pure in as_ensemble(state):
-        displaced = apply_displacement(pure, list(xis))
-        total += w * inner_product(pure, displaced)
-    return total
+    dim = state.cutoff + 1
+    return complex(_expectation(state, [displacement_matrix(x, dim) for x in xis]))
 
 
 def wigner_slice_point(state, slice_spec: SliceSpec, alpha: complex) -> float:

@@ -31,10 +31,14 @@ import numpy as np
 from . import families, numerics
 from .fock_core import MixedState, as_ensemble, fock_state, tensor, vacuum
 from .gaussian_ops import (
+    MAX_DENSE_ENTRIES,
     ResourceLimitError,
-    apply_linear_optical,
-    displacement_matrix_element,
+    dense_amplitudes,
+    displacement_matrix,
 )
+
+# not called here, but perfbench/tracing.py patches these names on this module
+from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # noqa: F401
 
 GUARD = 1e-12
 
@@ -233,54 +237,50 @@ def witness_b(entry_fn, xi, modes: int, family: str | None = None,
     )
 
 
-def _householder_com(modes: int) -> np.ndarray:
-    """Real symmetric orthogonal matrix sending e_1 to the uniform vector."""
-    sym = np.full(modes, 1.0 / math.sqrt(modes))
-    e1 = np.zeros(modes)
-    e1[0] = 1.0
-    w = e1 - sym
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(modes)
-    w /= nw
-    return np.eye(modes) - 2.0 * np.outer(w, w)
+def _lower_com(psi: np.ndarray) -> np.ndarray:
+    """a_c psi for the centre-of-mass mode a_c = SUM_m a_m / sqrt(M)."""
+    out = np.zeros_like(psi)
+    root = np.sqrt(np.arange(1, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
+    for axis in range(psi.ndim):
+        np.moveaxis(out, axis, 0)[:-1] += root * np.moveaxis(psi, axis, 0)[1:]
+    return out / math.sqrt(psi.ndim)
 
 
 def _com_density_matrix(state, max_photons: int) -> np.ndarray:
-    """Single-mode density matrix of the centre-of-mass mode of `state`."""
+    """Single-mode density matrix of the centre-of-mass mode of `state`.
+
+    With N the largest total photon number and phi_p = a_c^p psi on the
+    dense amplitudes, the Gram matrix G[i, j] = <phi_i|phi_j> holds the
+    normal-ordered moments <a_c^dagger^i a_c^j>, and
+    rho[n, m] = SUM_k (-1)^k / (k! sqrt(n! m!)) G[m+k, n+k].
+    """
     branches = as_ensemble(state)
-    total_modes = branches[0][1].modes
-    rot = _householder_com(total_modes)
-    nmax = 0
-    grouped_branches = []
+    n_max = max(pure.total_photon_max() for _, pure in branches)
+    if n_max > max_photons:
+        raise ResourceLimitError(
+            "total photon number %d exceeds the brute-force budget %d"
+            % (n_max, max_photons)
+        )
+    gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for weight, pure in branches:
-        mixed = apply_linear_optical(rot, pure, max_photons=max_photons)
-        groups = {}
-        for key, amp in mixed.amps.items():
-            groups.setdefault(key[1:], {})[key[0]] = amp
-            if key[0] > nmax:
-                nmax = key[0]
-        grouped_branches.append((weight, groups))
-    rho = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for weight, groups in grouped_branches:
-        for sub in groups.values():
-            for i, ci in sub.items():
-                for j, cj in sub.items():
-                    rho[i, j] += weight * ci * np.conj(cj)
-    return rho
+        phi = [dense_amplitudes(pure, MAX_DENSE_ENTRIES // (n_max + 1))]
+        for _ in range(n_max):
+            phi.append(_lower_com(phi[-1]))
+        flat = np.reshape(phi, (n_max + 1, -1))
+        gram += weight * (flat.conj() @ flat.T)
+    rho = np.zeros_like(gram)
+    for k in range(n_max + 1):
+        rho[: n_max + 1 - k, : n_max + 1 - k] += (-1) ** k / math.factorial(k) * gram[k:, k:].T
+    inv_root = 1.0 / np.sqrt([math.factorial(n) for n in range(n_max + 1)])
+    return rho * np.outer(inv_root, inv_root)
 
 
 def _displaced_parity_from_dm(rho: np.ndarray, beta: complex) -> float:
-    """tr[rho Pi(beta)] for a single-mode density matrix in the number basis."""
+    """tr[rho Pi(beta)] = tr[rho D(2 beta) Pi] for a number-basis density matrix."""
     n = rho.shape[0]
-    val = 0.0 + 0.0j
-    for i in range(n):
-        sign = -1.0 if i % 2 else 1.0
-        for j in range(n):
-            if rho[i, j] == 0:
-                continue
-            val += rho[i, j] * sign * displacement_matrix_element(j, i, 2.0 * beta)
-    return float(val.real)
+    sign = (-1.0) ** np.arange(n)
+    disp = displacement_matrix(2.0 * beta, n)
+    return float(np.sum(rho * sign[:, None] * disp.T).real)
 
 
 def _ancilla_states(ancillas, cutoff: int):

@@ -327,7 +327,6 @@ def test_c08_psi4_reference_radical():
         f"oracle {value:.12f} vs tabulated radical {reference:.12f}")
 
 
-@pytest.mark.slow
 def test_c08_psi5_oracle():
     value = _oracle(fam.psi_family("psi5"), fam.fock_kernel(3, 1), 0.0)
     assert value == pytest.approx(fam.PSI5_SMOOTHED_AT_ORIGIN, abs=1e-10)

@@ -15,6 +15,27 @@ from cvgme.witnesses import GUARD
 
 
 # ---------------------------------------------------------------------------
+# slice-volume quadrature
+
+
+@pytest.mark.parametrize("family,delta,radius", [
+    ("cat:M=3,gamma=0.83,eta=0.1", 0.01, 2.75),
+    ("cat:M=2,gamma=0.5+0.4j", 0.02, None),
+    ("w:M=4,eta=0.1", 0.01, None),
+    ("psi1", 0.02, 1.5),
+])
+def test_v2d_quadrature_is_the_midpoint_sum_over_the_disc(family, delta, radius):
+    spec = cli.families.parse_family(family)
+    if radius is None:
+        radius = cli.numerics.tail_radius(cli.families.slice_abs_envelope(spec))
+    grid = cli.numerics.disc_grid(delta, radius)
+    vals = np.abs(cli.families.family_wigner_slice(spec, grid.centers()))
+    want = (2 / math.pi) * (math.pi / 2) ** spec.modes * cli.numerics.midpoint_integral(
+        vals, delta)
+    assert cli.v2d_quadrature(spec, delta, radius) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # range parsing and number formatting
 
 

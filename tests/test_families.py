@@ -152,6 +152,53 @@ def test_wigner_slice_against_oracle(spec):
         assert val == pytest.approx(slice_oracle(st, alpha), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        fam.w_family(4, eta=0.15),
+        fam.dicke2_family(3),
+        fam.cat_family(3, 0.8, eta=0.2),
+        fam.cat_family(2, 0.6 - 0.7j, eta=0.1),
+        fam.psi_family("psi1"),
+        fam.psi_family("psi2"),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_wigner_slice_on_lattice_matches_pointwise(spec):
+    # the split (column x row) evaluation equals the pointwise closed form
+    axis = np.linspace(-1.5, 1.5, 31)
+    lattice = fam.family_wigner_slice_xy(spec, axis[:, None], axis[None, :])
+    points = fam.family_wigner_slice(spec, axis[:, None] + 1j * axis[None, :])
+    assert lattice.shape == points.shape == (31, 31)
+    assert np.abs(lattice - points).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        fam.w_family(4, eta=0.15),
+        fam.dicke2_family(3),
+        fam.cat_family(3, 0.8, eta=0.2),
+        fam.cat_family(2, 0.6 - 0.7j, eta=0.1),
+        fam.psi_family("psi1"),
+        fam.psi_family("psi2"),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_slice_symmetries_hold(spec):
+    # each claimed reflection holds, and each one not claimed is broken
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(-1.0, 1.0, 64)
+    w = fam.family_wigner_slice(spec, pts)
+    reflected = {
+        "point_even": fam.family_wigner_slice(spec, -pts),
+        "conj_even": fam.family_wigner_slice(spec, np.conj(pts)),
+    }
+    for name, claimed in fam.slice_symmetries(spec).items():
+        gap = np.abs(reflected[name] - w).max()
+        assert (gap < 1e-14) if claimed else (gap > 1e-6), (name, gap)
+
+
 def test_wigner_slice_vectorized_shape():
     grid = np.array([[0.1, 0.2j], [0.3, -0.1 + 0.1j]])
     out = fam.family_wigner_slice(fam.w_family(3), grid)

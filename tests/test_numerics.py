@@ -55,6 +55,53 @@ def test_midpoint_gaussian_invariant():
     assert got == pytest.approx(math.pi / (2 * m), abs=1e-6)
 
 
+@pytest.mark.parametrize("delta,radius", [(0.2, 1.0), (0.25, 1.0), (0.1, 0.7),
+                                          (0.0065, 0.9), (0.05, 0.05), (0.3, 0.61),
+                                          (0.1, 1.0 - 5e-11)])
+def test_indices_match_the_masked_square(delta, radius):
+    # the row-by-row lattice keeps exactly the cells, in the same order, that
+    # clipping the full square to the disc keeps
+    grid = num.disc_grid(delta, radius)
+    nmax = int(math.floor(radius / delta + 1e-9))
+    rng = np.arange(-nmax, nmax + 1)
+    n_re, n_im = np.meshgrid(rng, rng, indexing="ij")
+    mask = n_re * n_re + n_im * n_im <= (radius / delta) ** 2 + 1e-9
+    got_re, got_im = grid.indices()
+    assert np.array_equal(got_re, n_re[mask])
+    assert np.array_equal(got_im, n_im[mask])
+
+
+def _point_even(x, y):
+    return np.abs(np.cos(3 * x - y) * np.exp(-(x * x + 2 * y * y)))
+
+
+def _conj_even(x, y):
+    return np.abs((1 + x) * np.cos(2 * y) * np.exp(-(x * x + y * y)))
+
+
+def _both_even(x, y):
+    return np.abs(np.cos(3 * x) * np.cos(y) * np.exp(-(x * x + 2 * y * y)))
+
+
+@pytest.mark.parametrize("fn,folds", [
+    (_point_even, {}),
+    (_point_even, {"point_even": True}),
+    (_conj_even, {"conj_even": True}),
+    (_both_even, {"point_even": True, "conj_even": True}),
+], ids=["plain", "point", "conj", "both"])
+@pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
+def test_lattice_integral_matches_midpoint_sum(fn, folds, block_cells, monkeypatch):
+    # blocks and symmetry folds change the order of the midpoint sum only
+    monkeypatch.setattr(num, "LATTICE_BLOCK_CELLS", block_cells)
+    # the last grid's outermost rows hold no cell
+    for grid in (num.disc_grid(0.01, 1.3), num.disc_grid(0.3, 0.61),
+                 num.disc_grid(0.1, 1.0 - 5e-11)):
+        centers = grid.centers()
+        want = num.midpoint_integral(fn(centers.real, centers.imag), grid.delta)
+        got = num.midpoint_lattice_integral(fn, grid, **folds)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------

@@ -111,3 +111,15 @@ def test_wigner_permutation_symmetry():
     assert ps.wigner_point(st, [a, b]) == pytest.approx(
         ps.wigner_point(swapped, [b, a]), abs=1e-12
     )
+
+
+def test_characteristic_point_far_from_vacuum():
+    # the dense oracle needs no headroom cutoff, so nothing overflows
+    got = ps.characteristic_point(fc.vacuum(1, 0), [9.0])
+    assert got == pytest.approx(math.exp(-40.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [6.0, -4.5 + 7.0j])
+def test_wigner_point_far_from_vacuum(alpha):
+    expect = (2 / math.pi) * math.exp(-2 * abs(alpha) ** 2)
+    assert ps.wigner_point(fc.vacuum(1, 0), [alpha]) == pytest.approx(expect, rel=1e-12)

@@ -9,13 +9,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvgme.families as fam
 import cvgme.numerics as num
 import cvgme.phase_space as ps
 import cvgme.witnesses as wit
-from cvgme.fock_core import MixedState, coherent_state, fock_state, tensor, vacuum
-from cvgme.gaussian_ops import ResourceLimitError
+from cvgme.fock_core import (
+    MixedState,
+    PureState,
+    as_ensemble,
+    coherent_state,
+    fock_state,
+    tensor,
+    vacuum,
+)
+from cvgme.gaussian_ops import ResourceLimitError, apply_linear_optical
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +294,63 @@ def test_witness_c_photon_budget_hint():
     state = fam.family_fock_expansion(fam.dicke2_family(3))
     with pytest.raises(ResourceLimitError, match="family_smoothed_wigner"):
         wit.witness_c(state, fam.fock_kernel(1, 9), max_photons=8)
+
+
+def test_witness_c_dense_entry_budget():
+    # 8 photons in 8 modes is within the photon budget, but the dense moments
+    # would need 9 x 9^8 entries
+    state = fock_state((8,) + (0,) * 7)
+    with pytest.raises(ResourceLimitError, match="family_smoothed_wigner"):
+        wit.witness_c(state, fam.vacuum_kernel(6), max_photons=8)
+
+
+def _reflection_com_density(state):
+    """Centre-of-mass density matrix through a multiport reflection.
+
+    A real reflection sends mode 0 onto the uniform centre-of-mass mode; the
+    state is pushed through it by multinomial expansion and mode 0 is kept.
+    This route shares nothing with the moment construction of the witness.
+    """
+    modes = state.modes
+    w = np.eye(modes)[0] - np.full(modes, 1.0 / math.sqrt(modes))
+    rot = np.eye(modes) - 2.0 * np.outer(w, w) / np.dot(w, w)
+    n_max = max(pure.total_photon_max() for _, pure in as_ensemble(state))
+    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for weight, pure in as_ensemble(state):
+        groups = {}
+        for key, amp in apply_linear_optical(rot, pure).amps.items():
+            groups.setdefault(key[1:], {})[key[0]] = amp
+        for sub in groups.values():
+            for i, ci in sub.items():
+                for j, cj in sub.items():
+                    rho[i, j] += weight * ci * np.conj(cj)
+    return rho
+
+
+@st.composite
+def _joint_states(draw):
+    """Random 3-4 mode pure states or mixtures with up to 5 photons."""
+    modes = draw(st.integers(3, 4))
+    cutoff = draw(st.integers(1, 2))
+    keys = [k for k in np.ndindex((cutoff + 1,) * modes) if sum(k) <= 5]
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6,
+                                unique=True))
+        amps = {k: complex(draw(parts), draw(parts)) + 0.05 for k in support}
+        branches.append(PureState(modes, cutoff, amps))
+    if len(branches) == 1:
+        return branches[0]
+    weight = draw(st.floats(0.1, 0.9))
+    return MixedState(((weight, branches[0]), (1.0 - weight, branches[1])))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_joint_states())
+def test_com_density_matrix_matches_reflection_route(state):
+    got = wit._com_density_matrix(state, max_photons=8)
+    np.testing.assert_allclose(got, _reflection_com_density(state), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
