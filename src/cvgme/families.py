@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .fock_core import MixedState, PureState, normalize, vacuum
+from .fock_core import (
+    MixedState,
+    PureState,
+    check_dense_size,
+    coherent_state,
+    normalize,
+    vacuum,
+)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -68,6 +76,13 @@ _PSI2_AMPS = {
     (0, 2, 1): 1 / (2 * _SQ6),
     (0, 3, 0): -1 / (6 * _SQ2),
     (0, 0, 3): -1 / (6 * _SQ2),
+}
+
+# psi4 and psi5 weigh their two permutation orbits equally, each orbit a
+# uniform superposition of the distinct permutations of these occupations
+_PSI45_ORBITS = {
+    "psi4": ((2, 1, 0, 0), (1, 1, 1, 0)),
+    "psi5": ((2, 1, 1, 0, 0), (1, 1, 1, 1, 0)),
 }
 
 
@@ -240,23 +255,6 @@ def _distinct_permutations(occ):
     return sorted(set(permutations(occ)))
 
 
-def _coherent_product_amps(gamma: complex, modes: int, cutoff: int) -> dict:
-    """Amplitudes of |gamma>^{x modes}, truncated per mode at `cutoff`."""
-    single = [math.exp(-0.5 * abs(gamma) ** 2)]
-    for n in range(cutoff):
-        single.append(single[-1] * gamma / math.sqrt(n + 1))
-    amps = {(): 1.0}
-    for _ in range(modes):
-        nxt = {}
-        for key, val in amps.items():
-            for n in range(cutoff + 1):
-                c = val * single[n]
-                if abs(c) > 1e-18:
-                    nxt[key + (n,)] = c
-        amps = nxt
-    return amps
-
-
 def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
     """Smallest cutoff with sum_{n>cutoff} |gamma|^{2n}/n! below `tol`."""
     x = abs(gamma) ** 2
@@ -275,13 +273,32 @@ def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
 
 def _cat_pure(modes: int, gamma: complex, sign: int, cutoff: int) -> PureState:
     """Normalized |gamma>^M + sign * |-gamma>^M."""
-    plus = _coherent_product_amps(gamma, modes, cutoff)
-    minus = _coherent_product_amps(-gamma, modes, cutoff)
-    amps = dict(plus)
-    for key, val in minus.items():
-        amps[key] = amps.get(key, 0.0) + sign * val
-    amps = {k: v for k, v in amps.items() if abs(v) > 1e-18}
-    return normalize(PureState(modes, cutoff, amps))
+    check_dense_size((cutoff + 1,) * modes)
+    plus = coherent_state(gamma, cutoff).amps
+    minus = coherent_state(-gamma, cutoff).amps
+    amps = reduce(np.multiply.outer, [plus] * modes) + sign * reduce(
+        np.multiply.outer, [minus] * modes
+    )
+    return normalize(PureState(amps))
+
+
+def _table_state(modes: int, table, cutoff: int | None) -> PureState:
+    """The state with amplitude `amp` at occupation `occ` for each (occ, amp) in `table`.
+
+    Its cutoff is the highest occupied level unless `cutoff` is given.
+    """
+    top = max(max(occ) for occ, _ in table)
+    check_dense_size((top + 1,) * modes)
+    amps = np.zeros((top + 1,) * modes, dtype=complex)
+    for occ, amp in table:
+        amps[occ] = amp
+    state = PureState(amps)
+    return state if cutoff is None else state.with_cutoff(cutoff)
+
+
+def _single_occupations(modes: int, n: int):
+    """n photons in one mode and none elsewhere, for each of the modes."""
+    return [tuple(n if j == m else 0 for j in range(modes)) for m in range(modes)]
 
 
 def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
@@ -289,70 +306,38 @@ def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
 
     Returns a PureState for lossless members and a MixedState otherwise.
     Photon-number eigenstates are exact; cat states carry a coherent tail
-    below 1e-14 at the default cutoff.
+    below 1e-14 at the default cutoff; the other families default to their
+    highest occupied level.
     """
     tag = spec.tag
+    m = spec.modes
     if tag == "w":
-        if cutoff is None:
-            cutoff = 1
-        amps = {}
-        for m in range(spec.modes):
-            key = tuple(1 if j == m else 0 for j in range(spec.modes))
-            amps[key] = 1.0 / math.sqrt(spec.modes)
-        pure = PureState(spec.modes, cutoff, amps)
+        amp = 1.0 / math.sqrt(m)
+        pure = _table_state(m, [(occ, amp) for occ in _single_occupations(m, 1)], cutoff)
         if spec.eta == 0.0:
             return pure
-        return MixedState(
-            ((1.0 - spec.eta, pure), (spec.eta, vacuum(spec.modes, cutoff)))
-        )
+        return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m, pure.cutoff))))
 
     if tag == "dicke2":
-        if cutoff is None:
-            cutoff = 1
-        amps = {}
-        amp = math.sqrt(2.0 / (spec.modes * (spec.modes - 1)))
-        for a in range(spec.modes):
-            for b in range(a + 1, spec.modes):
-                key = tuple(
-                    1 if j in (a, b) else 0 for j in range(spec.modes)
-                )
-                amps[key] = amp
-        return PureState(spec.modes, cutoff, amps)
+        amp = math.sqrt(2.0 / (m * (m - 1)))
+        pairs = [tuple(1 if j in (a, b) else 0 for j in range(m))
+                 for a in range(m) for b in range(a + 1, m)]
+        return _table_state(m, [(occ, amp) for occ in pairs], cutoff)
 
     if tag == "noon3":
-        n = spec.n_photons
-        if cutoff is None:
-            cutoff = n
-        amps = {}
-        for m in range(3):
-            key = tuple(n if j == m else 0 for j in range(3))
-            amps[key] = 1.0 / _SQ3
-        return PureState(3, cutoff, amps)
+        return _table_state(
+            3, [(occ, 1.0 / _SQ3) for occ in _single_occupations(3, spec.n_photons)], cutoff
+        )
 
-    if tag == "psi1":
-        if cutoff is None:
-            cutoff = 2
-        return PureState(3, cutoff, dict(_PSI1_AMPS))
-
-    if tag == "psi2":
-        if cutoff is None:
-            cutoff = 3
-        return PureState(3, cutoff, dict(_PSI2_AMPS))
+    if tag in ("psi1", "psi2"):
+        return _table_state(3, (_PSI1_AMPS if tag == "psi1" else _PSI2_AMPS).items(), cutoff)
 
     if tag in ("psi4", "psi5"):
-        if tag == "psi4":
-            groups = [((2, 1, 0, 0),), ((1, 1, 1, 0),)]
-        else:
-            groups = [((2, 1, 1, 0, 0),), ((1, 1, 1, 1, 0),)]
-        if cutoff is None:
-            cutoff = 2
-        amps = {}
-        for (occ,) in groups:
+        table = []
+        for occ in _PSI45_ORBITS[tag]:
             perms = _distinct_permutations(occ)
-            amp = 1.0 / math.sqrt(2.0 * len(perms))
-            for key in perms:
-                amps[key] = amp
-        return PureState(spec.modes, cutoff, amps)
+            table += [(key, 1.0 / math.sqrt(2.0 * len(perms))) for key in perms]
+        return _table_state(m, table, cutoff)
 
     if tag == "cat":
         gamma = spec.gamma
@@ -361,9 +346,8 @@ def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
         if cutoff is None:
             cutoff = coherent_tail_cutoff(gamma)
         if spec.eta == 0.0:
-            return _cat_pure(spec.modes, gamma, +1, cutoff)
+            return _cat_pure(m, gamma, +1, cutoff)
         # exact rank-2 decomposition of the damped cat
-        m = spec.modes
         g = math.sqrt(1.0 - spec.eta) * gamma
         c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
         n_plus_in = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))

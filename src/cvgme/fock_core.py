@@ -1,12 +1,11 @@
 """Truncated multimode Fock-space states.
 
-A state is stored as an occupation map: occupation vectors (tuples of
-per-mode photon counts) to complex amplitudes.  The state families build
-their truncated-Fock expansions in this form, and it is the exchange format
-of the package.  The brute-force oracle (`gaussian_ops`, `phase_space`, the
-collective-parity witness) does not compute on the map: on entry it turns
-each state into a dense array of shape (cutoff+1,)*M and works with whole
-single-mode matrices on that.
+A pure state is a dense complex array of shape (cutoff+1,)*M: entry
+[n1, ..., nM] is the amplitude of |n1 ... nM>.  The state families build
+these arrays directly, and the brute-force oracle (`gaussian_ops`,
+`phase_space`, the collective-parity witness) computes on them with whole
+single-mode matrices.  An array above MAX_DENSE_ENTRIES entries is refused
+before it is allocated.
 
 Mixed states are stored as weighted ensembles of pure states rather than
 density matrices; every mixture needed here (loss channels on small
@@ -16,7 +15,12 @@ superpositions) has very low rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+# ceiling on the complex entries of one dense oracle tensor (32 MiB)
+MAX_DENSE_ENTRIES = 1 << 21
 
 
 class NullStateError(ValueError):
@@ -27,64 +31,77 @@ class DimensionError(ValueError):
     """Raised on mode-count or cutoff mismatches between states."""
 
 
-def _check_key(key, modes, cutoff):
-    if len(key) != modes:
-        raise DimensionError(
-            "occupation vector %r has length %d, expected %d" % (key, len(key), modes)
+class ResourceLimitError(RuntimeError):
+    """Raised when a brute-force computation would exceed its size budget."""
+
+
+def check_dense_size(shape, max_entries: int = MAX_DENSE_ENTRIES) -> None:
+    """Refuse a dense tensor of `shape` with more than `max_entries` entries."""
+    entries = math.prod(shape)
+    if entries > max_entries:
+        raise ResourceLimitError(
+            "a dense tensor of shape %r has %d entries, above the budget %d"
+            % (tuple(shape), entries, max_entries)
         )
-    for n in key:
-        if n < 0:
-            raise ValueError("negative photon count in %r" % (key,))
-        if n > cutoff:
-            raise DimensionError(
-                "occupation %d exceeds cutoff %d in %r" % (n, cutoff, key)
-            )
 
 
-@dataclass(frozen=True)
+def total_photons(shape) -> np.ndarray:
+    """n1 + ... + nM at every entry of an amplitude array of `shape`."""
+    return sum(np.indices(shape, sparse=True))
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A pure state on `modes` bosonic modes with per-mode cutoff `cutoff`.
+    """A pure state: `amps[n1, ..., nM]` is the amplitude of |n1 ... nM>.
 
-    `amps` maps occupation tuples to complex amplitudes.  The state is not
-    normalized automatically; call :func:`normalize` when unit norm matters.
+    `amps` has shape (cutoff+1,)*modes.  The state is not normalized
+    automatically; call :func:`normalize` when unit norm matters.
     """
 
-    modes: int
-    cutoff: int
-    amps: dict = field(default_factory=dict)
+    amps: np.ndarray
 
     def __post_init__(self):
-        if self.modes < 1:
+        amps = np.asarray(self.amps, dtype=complex)
+        if amps.ndim < 1:
             raise DimensionError("mode count must be >= 1")
-        if self.cutoff < 0:
+        if len(set(amps.shape)) != 1:
+            raise DimensionError(
+                "amplitude array of shape %r is not (cutoff+1,)*modes" % (amps.shape,)
+            )
+        if amps.shape[0] < 1:
             raise DimensionError("cutoff must be >= 0")
-        clean = {}
-        for key, amp in self.amps.items():
-            key = tuple(int(n) for n in key)
-            _check_key(key, self.modes, self.cutoff)
-            if amp != 0:
-                clean[key] = complex(amp)
-        object.__setattr__(self, "amps", clean)
+        object.__setattr__(self, "amps", amps)
+
+    @property
+    def modes(self) -> int:
+        return self.amps.ndim
+
+    @property
+    def cutoff(self) -> int:
+        return self.amps.shape[0] - 1
 
     def norm_sq(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self.amps.values())
+        return float(np.vdot(self.amps, self.amps).real)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
     def total_photon_max(self) -> int:
-        """Largest total occupation present (0 for the null map)."""
-        return max((sum(k) for k in self.amps), default=0)
+        """Largest total occupation with a nonzero amplitude (0 for the null state)."""
+        return int(np.max(total_photons(self.amps.shape)[self.amps != 0], initial=0))
 
     def with_cutoff(self, cutoff: int) -> "PureState":
-        """Return the same amplitudes under a (>=) per-mode cutoff."""
-        if cutoff < self.total_photon_max():
-            for key in self.amps:
-                if max(key) > cutoff:
-                    raise DimensionError(
-                        "cannot shrink cutoff below occupied level %d" % max(key)
-                    )
-        return PureState(self.modes, cutoff, dict(self.amps))
+        """The same amplitudes under another per-mode cutoff.
+
+        Growing pads with zeros; shrinking below an occupied level raises.
+        """
+        if cutoff < self.cutoff:
+            top = int(np.argwhere(self.amps).max(initial=0))
+            if top > cutoff:
+                raise DimensionError("cannot shrink cutoff below occupied level %d" % top)
+            return PureState(self.amps[(slice(cutoff + 1),) * self.modes].copy())
+        check_dense_size((cutoff + 1,) * self.modes)
+        return PureState(np.pad(self.amps, (0, cutoff - self.cutoff)))
 
 
 @dataclass(frozen=True)
@@ -144,27 +161,24 @@ def normalize(state: PureState) -> PureState:
     """
     nrm = state.norm()
     if nrm == 0.0:
-        raise NullStateError("null state: cannot normalize a zero amplitude map")
+        raise NullStateError("null state: cannot normalize a zero amplitude array")
     if abs(nrm - 1.0) < 1e-15:
         return state
-    scale = 1.0 / nrm
-    return PureState(
-        state.modes, state.cutoff, {k: a * scale for k, a in state.amps.items()}
-    )
+    return PureState(state.amps * (1.0 / nrm))
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
+    """<a|b>, conjugate-linear in the first argument.
+
+    Levels above the smaller of the two cutoffs are absent from one state
+    and do not contribute.
+    """
     if a.modes != b.modes:
         raise DimensionError(
             "mode count mismatch: %d vs %d" % (a.modes, b.modes)
         )
-    # iterate over the smaller support
-    if len(a.amps) > len(b.amps):
-        return complex(sum(a.amps[k].conjugate() * v for k, v in b.amps.items()
-                           if k in a.amps))
-    return complex(sum(v.conjugate() * b.amps[k] for k, v in a.amps.items()
-                       if k in b.amps))
+    common = (slice(min(a.cutoff, b.cutoff) + 1),) * a.modes
+    return complex(np.vdot(a.amps[common], b.amps[common]))
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -174,30 +188,34 @@ def tensor(a: PureState, b: PureState) -> PureState:
             "cutoff mismatch in tensor: %d vs %d (use with_cutoff to align)"
             % (a.cutoff, b.cutoff)
         )
-    amps = {}
-    for ka, va in a.amps.items():
-        for kb, vb in b.amps.items():
-            amps[ka + kb] = va * vb
-    return PureState(a.modes + b.modes, a.cutoff, amps)
+    check_dense_size((a.cutoff + 1,) * (a.modes + b.modes))
+    return PureState(np.multiply.outer(a.amps, b.amps))
 
 
 def mean_photon_number(state) -> float:
     """Mean total photon number SUM_m <n_m>."""
-    total = 0.0
-    for w, st in as_ensemble(state):
-        acc = 0.0
-        for key, amp in st.amps.items():
-            acc += sum(key) * (amp.real * amp.real + amp.imag * amp.imag)
-        total += w * acc
-    return total
+    return sum(
+        w * float(np.sum(total_photons(st.amps.shape) * np.abs(st.amps) ** 2))
+        for w, st in as_ensemble(state)
+    )
 
 
 def fock_state(occupation, cutoff=None) -> PureState:
     """|n1 n2 ... nM> basis state."""
     occ = tuple(int(n) for n in occupation)
+    if not occ:
+        raise DimensionError("mode count must be >= 1")
+    if min(occ) < 0:
+        raise ValueError("negative photon count in %r" % (occ,))
     if cutoff is None:
-        cutoff = max(occ) if occ else 0
-    return PureState(len(occ), cutoff, {occ: 1.0})
+        cutoff = max(occ)
+    if max(occ) > cutoff:
+        raise DimensionError("occupation %d exceeds cutoff %d in %r" % (max(occ), cutoff, occ))
+    shape = (cutoff + 1,) * len(occ)
+    check_dense_size(shape)
+    amps = np.zeros(shape, dtype=complex)
+    amps[occ] = 1.0
+    return PureState(amps)
 
 
 def vacuum(modes: int, cutoff: int = 0) -> PureState:
@@ -211,11 +229,9 @@ def coherent_state(gamma: complex, cutoff: int) -> PureState:
     so the discarded weight is below 1e-14.
     """
     gamma = complex(gamma)
-    amps = {}
-    term = math.exp(-0.5 * abs(gamma) ** 2)
-    amp = complex(term)
+    amps = np.empty(cutoff + 1, dtype=complex)
+    amp = complex(math.exp(-0.5 * abs(gamma) ** 2))
     for n in range(cutoff + 1):
-        if amp != 0:
-            amps[(n,)] = amp
+        amps[n] = amp
         amp = amp * gamma / math.sqrt(n + 1)
-    return PureState(1, cutoff, amps)
+    return PureState(amps)

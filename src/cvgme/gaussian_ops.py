@@ -1,9 +1,8 @@
 """Exact operations on truncated Fock states.
 
-The oracle works on dense amplitude arrays of shape (cutoff+1,)*M: a state's
-occupation map is turned into one by :func:`dense_amplitudes` when an oracle
-function is entered, and a single-mode operator acts on it as one
-``np.tensordot`` per mode (:func:`apply_mode_matrices`).
+A state's amplitudes are a dense array of shape (cutoff+1,)*M (see
+`fock_core`), and a single-mode operator acts on it as one ``np.tensordot``
+per mode (:func:`apply_mode_matrices`).
 
 Displacements use the whole number-basis matrix <m|D(beta)|n> from
 :func:`displacement_matrix`.  Each diagonal m - n = k of that matrix is a
@@ -32,8 +31,11 @@ from .fock_core import (
     DimensionError,
     MixedState,
     PureState,
+    ResourceLimitError,
     as_ensemble,
+    check_dense_size,
     normalize,
+    total_photons,
 )
 
 # photon-number ceiling of the brute-force reference path: the multinomial
@@ -41,18 +43,11 @@ from .fock_core import (
 # witness_c grow combinatorially with it
 DEFAULT_PHOTON_BUDGET = 8
 
-# ceiling on the complex entries of one dense oracle tensor (32 MiB)
-MAX_DENSE_ENTRIES = 1 << 21
-
 TRUNCATION_TOL = 1e-10
 NORM_LOSS_LIMIT = 1e-6
 
 # e^(-|beta|^2/2) = <0|D(beta)|0> leaves the normal double range beyond this
 MAX_DISPLACEMENT_SQ = -2.0 * math.log(sys.float_info.min)
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a brute-force computation would exceed its size budget."""
 
 
 class CutoffError(ValueError):
@@ -107,29 +102,6 @@ def displacement_matrix_element(m: int, n: int, beta: complex) -> complex:
     return complex(displacement_matrix(beta, max(m, n) + 1)[m, n])
 
 
-def dense_amplitudes(state: PureState, max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
-    """The amplitudes of `state` as an array of shape (cutoff+1,)*modes.
-
-    Raises ResourceLimitError instead of allocating more than `max_entries`.
-    """
-    shape = (state.cutoff + 1,) * state.modes
-    check_dense_size(shape, max_entries)
-    arr = np.zeros(shape, dtype=complex)
-    if state.amps:
-        arr[tuple(np.array(list(state.amps)).T)] = list(state.amps.values())
-    return arr
-
-
-def check_dense_size(shape, max_entries: int = MAX_DENSE_ENTRIES) -> None:
-    """Refuse a dense tensor of `shape` with more than `max_entries` entries."""
-    entries = math.prod(shape)
-    if entries > max_entries:
-        raise ResourceLimitError(
-            "a dense tensor of shape %r has %d entries, above the budget %d"
-            % (tuple(shape), entries, max_entries)
-        )
-
-
 def apply_mode_matrices(arr: np.ndarray, mats) -> np.ndarray:
     """Apply mats[m] (rows x arr.shape[m]) to axis m of `arr`, for every m."""
     for axis, mat in enumerate(mats):
@@ -162,11 +134,7 @@ def apply_displacement(state: PureState, betas) -> PureState:
 
     check_dense_size((work_cutoff + 1,) * state.modes)
     mats = [displacement_matrix(b, work_cutoff + 1)[:, : state.cutoff + 1] for b in betas]
-    arr = apply_mode_matrices(dense_amplitudes(state), mats)
-    keys = np.argwhere(np.abs(arr) > 1e-16)
-    amps = dict(zip(map(tuple, keys.tolist()), arr[tuple(keys.T)].tolist()))
-
-    out = PureState(state.modes, work_cutoff, amps)
+    out = PureState(apply_mode_matrices(state.amps, mats))
     loss = abs(out.norm_sq() - in_norm)
     if loss > NORM_LOSS_LIMIT:
         raise CutoffError(
@@ -268,10 +236,12 @@ def apply_linear_optical(
             power_cache[key] = got
         return got
 
-    out_amps = {}
-    for key, amp in state.amps.items():
+    out_cut = max(state.cutoff, n_tot)
+    check_dense_size((out_cut + 1,) * modes)
+    out = np.zeros((out_cut + 1,) * modes, dtype=complex)
+    for key in map(tuple, np.argwhere(state.amps).tolist()):
         # amplitude -> polynomial coefficient on prod (a^dagger)^n |0>
-        coeff = amp
+        coeff = state.amps[key]
         for n in key:
             coeff /= math.sqrt(math.factorial(n))
         # product over modes of expanded powers
@@ -287,40 +257,38 @@ def apply_linear_optical(
                     nxt[occ] = nxt.get(occ, 0.0) + ca * cb
             acc = nxt
         for occ, c in acc.items():
-            if c == 0:
-                continue
             # coefficient -> amplitude
             val = c
             for n in occ:
                 val *= math.sqrt(math.factorial(n))
-            out_amps[occ] = out_amps.get(occ, 0.0) + val
+            out[occ] += val
 
-    out_amps = {k: v for k, v in out_amps.items() if abs(v) > 1e-16}
-    cutoff = max(state.cutoff, max((max(k) for k in out_amps), default=0))
-    return PureState(modes, cutoff, out_amps)
+    out[np.abs(out) <= 1e-16] = 0.0
+    top = int(np.argwhere(out).max(initial=0))
+    return PureState(out).with_cutoff(max(state.cutoff, top))
 
 
 def _canonical_branch(state: PureState):
     """Phase-fixed fingerprint used to merge proportional Kraus branches."""
     st = normalize(state)
-    anchor = min(st.amps)
-    phase = st.amps[anchor]
+    keys = np.argwhere(st.amps)
+    phase = st.amps[tuple(keys[0])]
     phase /= abs(phase)
-    fixed = {k: v / phase for k, v in st.amps.items()}
+    fixed = st.amps / phase
     fingerprint = tuple(
-        sorted(
-            (k, round(v.real, 10), round(v.imag, 10))
-            for k, v in fixed.items()
-            if abs(v) > 1e-12
-        )
+        (k, round(v.real, 10), round(v.imag, 10))
+        for k, v in zip(map(tuple, keys.tolist()), fixed[tuple(keys.T)].tolist())
+        if abs(v) > 1e-12
     )
-    return fingerprint, PureState(st.modes, st.cutoff, fixed)
+    return fingerprint, PureState(fixed)
 
 
 def apply_amplitude_damping(state, eta: float) -> MixedState:
     """Photon loss with probability `eta` per photon, independently per mode.
 
-    Kraus branches are enumerated over per-mode loss counts; branches lighter
+    Kraus branches are enumerated over per-mode loss counts k: the branch
+    moves the amplitude of n to n - k, scaled by
+    sqrt(PROD_m C(n_m, k_m) eta^k_m (1-eta)^(n_m-k_m)).  Branches lighter
     than 1e-15 are dropped and proportional branches are merged, so e.g. a
     single-photon superposition damps to an exact rank-2 mixture.
     """
@@ -335,27 +303,19 @@ def apply_amplitude_damping(state, eta: float) -> MixedState:
     merged = {}
 
     for w_in, pure in branches_in:
-        modes = pure.modes
-        max_loss = tuple(
-            max((key[m] for key in pure.amps), default=0) for m in range(modes)
-        )
+        dim = pure.cutoff + 1
+        max_loss = tuple(np.argwhere(pure.amps).max(axis=0, initial=0).tolist())
         for loss_vec in _compositions_upto(max_loss):
-            amps = {}
-            for key, amp in pure.amps.items():
-                ok = True
-                factor = 1.0
-                for n, k in zip(key, loss_vec):
-                    if k > n:
-                        ok = False
-                        break
-                    factor *= math.comb(n, k) * (eta**k) * (keep ** (n - k))
-                if not ok or factor == 0.0:
-                    continue
-                new_key = tuple(n - k for n, k in zip(key, loss_vec))
-                amps[new_key] = amps.get(new_key, 0.0) + amp * math.sqrt(factor)
-            if not amps:
-                continue
-            branch = PureState(modes, pure.cutoff, amps)
+            factor = np.ones(())
+            for k in loss_vec:
+                factor = np.multiply.outer(factor, [
+                    math.comb(n, k) * (eta**k) * (keep ** (n - k)) for n in range(k, dim)
+                ])
+            amps = np.zeros_like(pure.amps)
+            amps[tuple(slice(dim - k) for k in loss_vec)] = (
+                pure.amps[tuple(slice(k, None) for k in loss_vec)] * np.sqrt(factor)
+            )
+            branch = PureState(amps)
             weight = w_in * branch.norm_sq()
             if weight < 1e-15:
                 continue
@@ -384,14 +344,8 @@ def _compositions_upto(bounds):
 
 def parity_expectation(state) -> float:
     """<(-1)^(total photon number)>; always in [-1, 1]."""
-    total = 0.0
-    for w, st in as_ensemble(state):
-        acc = 0.0
-        for key, amp in st.amps.items():
-            p = amp.real * amp.real + amp.imag * amp.imag
-            if sum(key) % 2:
-                acc -= p
-            else:
-                acc += p
-        total += w * acc
-    return total
+    return sum(
+        w * float(np.sum(np.where(total_photons(st.amps.shape) % 2, -1.0, 1.0)
+                         * np.abs(st.amps) ** 2))
+        for w, st in as_ensemble(state)
+    )

@@ -289,12 +289,7 @@ def gaussian_samples(mean, cov, n: int, seed: int) -> np.ndarray:
     mean = np.asarray(mean, dtype=float).reshape(2)
     root = _covariance_root(cov)
     rng = np.random.default_rng(seed)
-    return _box_muller_batch(rng, mean, root, n)
-
-
-def _box_muller_batch(rng, mean, root, n):
-    # one uniform pair per sample, drawn consecutively, so any prefix of the
-    # stream is independent of how the draws are batched
+    # one uniform pair per sample, drawn consecutively
     uu = rng.random((n, 2))
     u1 = 1.0 - uu[:, 0]  # (0, 1]
     u2 = uu[:, 1]
@@ -302,16 +297,6 @@ def _box_muller_batch(rng, mean, root, n):
     z = np.stack([r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)])
     xy = (root @ z) + mean[:, None]
     return xy[0] + 1j * xy[1]
-
-
-def gaussian_sampler(mean, cov, seed: int, batch: int = 1024):
-    """Infinite generator over the same stream `gaussian_samples` produces."""
-    mean = np.asarray(mean, dtype=float).reshape(2)
-    root = _covariance_root(cov)
-    rng = np.random.default_rng(seed)
-    while True:
-        for val in _box_muller_batch(rng, mean, root, batch):
-            yield val
 
 
 def tail_radius(envelope, tol: float = 1e-6, r_start: float = 1.0,

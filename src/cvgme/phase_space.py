@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import as_ensemble
-from .gaussian_ops import apply_mode_matrices, dense_amplitudes, displacement_matrix
+from .gaussian_ops import apply_mode_matrices, displacement_matrix
 
 # not called here, but perfbench/tracing.py patches these names on this module
 from .fock_core import inner_product  # noqa: F401
@@ -31,15 +31,10 @@ from .gaussian_ops import apply_displacement, parity_expectation  # noqa: F401
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Coefficient vectors y, z of a 2D phase-space slice plus a region.
-
-    `region` is ('disc', center, radius) or ('rect', re_lo, re_hi, im_lo,
-    im_hi); it only matters to integration drivers, not to point evaluation.
-    """
+    """Coefficient vectors y, z of a 2D phase-space slice."""
 
     y: tuple
     z: tuple
-    region: tuple = ("disc", 0j, 3.0)
 
     def __post_init__(self):
         y = tuple(complex(c) for c in self.y)
@@ -66,9 +61,9 @@ class SliceSpec:
         )
 
 
-def diagonal_slice(modes: int, region=("disc", 0j, 3.0)) -> SliceSpec:
+def diagonal_slice(modes: int) -> SliceSpec:
     """The slice alpha*(1,...,1) every closed-form family lives on."""
-    return SliceSpec((1.0,) * modes, (0.0,) * modes, region)
+    return SliceSpec((1.0,) * modes, (0.0,) * modes)
 
 
 def phase_point(values, modes=None):
@@ -89,8 +84,7 @@ def _expectation(state, mats) -> complex:
     """SUM_w weight_w <psi_w| (x)_m mats[m] |psi_w> over the branches."""
     total = 0.0 + 0.0j
     for w, pure in as_ensemble(state):
-        psi = dense_amplitudes(pure)
-        total += w * np.vdot(psi, apply_mode_matrices(psi, mats))
+        total += w * np.vdot(pure.amps, apply_mode_matrices(pure.amps, mats))
     return total
 
 

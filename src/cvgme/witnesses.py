@@ -29,13 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families, numerics
-from .fock_core import MixedState, as_ensemble, fock_state, tensor, vacuum
-from .gaussian_ops import (
+from .fock_core import (
     MAX_DENSE_ENTRIES,
+    MixedState,
     ResourceLimitError,
-    dense_amplitudes,
-    displacement_matrix,
+    as_ensemble,
+    check_dense_size,
+    fock_state,
+    tensor,
+    vacuum,
 )
+from .gaussian_ops import displacement_matrix
 
 # not called here, but perfbench/tracing.py patches these names on this module
 from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # noqa: F401
@@ -263,7 +267,8 @@ def _com_density_matrix(state, max_photons: int) -> np.ndarray:
         )
     gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for weight, pure in branches:
-        phi = [dense_amplitudes(pure, MAX_DENSE_ENTRIES // (n_max + 1))]
+        check_dense_size(pure.amps.shape, MAX_DENSE_ENTRIES // (n_max + 1))
+        phi = [pure.amps]
         for _ in range(n_max):
             phi.append(_lower_com(phi[-1]))
         flat = np.reshape(phi, (n_max + 1, -1))
@@ -324,19 +329,18 @@ def witness_c(state, ancillas, alpha: complex = 0.0,
 
     cut = max([cutoff] + [a.cutoff for a in anc])
     anc = [a.with_cutoff(cut) for a in anc]
-    joint_branches = []
-    for weight, pure in as_ensemble(state):
-        joint = pure.with_cutoff(cut)
-        for a in anc:
-            joint = tensor(joint, a)
-        joint_branches.append((weight, joint))
-    joint_state = (
-        joint_branches[0][1]
-        if len(joint_branches) == 1 and joint_branches[0][0] == 1.0
-        else MixedState(tuple(joint_branches))
-    )
-
     try:
+        joint_branches = []
+        for weight, pure in as_ensemble(state):
+            joint = pure.with_cutoff(cut)
+            for a in anc:
+                joint = tensor(joint, a)
+            joint_branches.append((weight, joint))
+        joint_state = (
+            joint_branches[0][1]
+            if len(joint_branches) == 1 and joint_branches[0][0] == 1.0
+            else MixedState(tuple(joint_branches))
+        )
         rho_plus = _com_density_matrix(joint_state, max_photons)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
@@ -354,7 +358,7 @@ def witness_c(state, ancillas, alpha: complex = 0.0,
             "modes": modes,
             "total_modes": total_modes,
             "alpha": [complex(alpha).real, complex(alpha).imag],
-            "ancillas": [sorted(a.amps) for a in anc],
+            "ancillas": [list(map(tuple, np.argwhere(a.amps).tolist())) for a in anc],
         },
     )
 

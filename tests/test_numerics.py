@@ -201,14 +201,6 @@ def test_gaussian_samples_deterministic_and_prefix_stable():
     np.testing.assert_array_equal(a, b[:100])
 
 
-def test_gaussian_sampler_matches_batch():
-    cov = [[0.04, 0.0], [0.0, 0.09]]
-    gen = num.gaussian_sampler((0.0, 0.0), cov, seed=9)
-    stream = np.array([next(gen) for _ in range(257)])
-    batch = num.gaussian_samples((0.0, 0.0), cov, 257, seed=9)
-    np.testing.assert_allclose(stream, batch, atol=0)
-
-
 def test_gaussian_samples_moments():
     # samples come back as complex phase-space points x + i y
     cov = np.array([[0.05, 0.02], [0.02, 0.08]])

@@ -79,9 +79,9 @@ def test_characteristic_point_coherent_phase():
 
 
 def test_characteristic_point_equal_displacement_w_state():
-    amps = {(1, 0, 0): 1 / math.sqrt(3), (0, 1, 0): 1 / math.sqrt(3),
-            (0, 0, 1): 1 / math.sqrt(3)}
-    w3 = fc.PureState(3, 1, amps)
+    amps = np.zeros((2, 2, 2))
+    amps[1, 0, 0] = amps[0, 1, 0] = amps[0, 0, 1] = 1 / math.sqrt(3)
+    w3 = fc.PureState(amps)
     xi = 0.2 - 0.3j
     u = abs(xi) ** 2
     expect = math.exp(-3 * u / 2) * (1 - 3 * u)
