@@ -66,6 +66,7 @@ from .families import (
 from .numerics import (
     GridSpec,
     OptimizerBudget,
+    SettingsOptimum,
     bisect_threshold,
     disc_grid,
     gaussian_samples,
@@ -85,6 +86,7 @@ from .witnesses import (
     optimize_witness_e,
     settings_objective,
     settings_threshold,
+    stacked_settings_objective,
     slice_integral_threshold,
     trace_norm_hermitian,
     volume_threshold,

@@ -550,15 +550,14 @@ def kernel_scan_values(spec: families.FamilySpec, s_values) -> np.ndarray:
     """Trace norm of C o K(s) on the fixed six-point settings set."""
     if spec.modes != 3:
         raise CliError("the kernel scan uses a single squeezed ancilla (M = 3)")
-    xi = np.asarray(KERNEL_SCAN_XI, dtype=complex)
-    diffs = xi[:, None] - xi[None, :]
-    c_mat = families.family_c_entry(spec, diffs) / xi.size
+    entry = lambda d: families.family_c_entry(spec, d)
     out = np.empty(len(s_values))
     for k, s in enumerate(s_values):
         kernel = families.squeezed_kernel(1, s)
-        mat = c_mat * families.kernel_c_entry(kernel, diffs)
-        mat = 0.5 * (mat + mat.conj().T)
-        out[k] = float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+        mat = witnesses.build_settings_matrix(
+            entry, KERNEL_SCAN_XI, kernel_fn=lambda d: families.kernel_c_entry(kernel, d)
+        )
+        out[k] = witnesses.trace_norm_hermitian(mat)
     return out
 
 

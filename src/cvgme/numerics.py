@@ -11,9 +11,14 @@ for the absolute-integral witness.  Any higher-order quadrature rule would
 void that ledger, so plain midpoint it is.
 
 Settings-set optimization is a restarted Nelder-Mead on the 2N real
-coordinates; restarts draw their initial sets upfront from one seeded stream
+coordinates.  Restarts draw their initial sets upfront from one seeded stream,
 so that enlarging the restart count only appends new starts (the best value
-is monotone in the budget).
+is monotone in the budget).  The objective is stacked: it maps K settings
+sets (K, N) to K values, and all restarts step together, so each Nelder-Mead
+iteration makes one objective call for every restart's reflection and one
+for their expansions or contractions.  Each restart still takes exactly the
+steps of scipy's adaptive Nelder-Mead (Gao & Han 2012), so the results equal
+those of running the restarts one after another with scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import minimize
+# not called here, but perfbench/tracing.py patches this name on this module
+from scipy.optimize import minimize  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -155,70 +161,198 @@ class OptimizerBudget:
             raise ValueError("need at least one restart")
         if self.max_evals < 1:
             raise ValueError("need at least one evaluation per restart")
+        if not self.tol >= 0:
+            raise ValueError("optimizer tolerance must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SettingsOptimum:
+    """Best settings set found, its value, and the work spent finding it.
+
+    Unpacks as ``xi, value``.  `objective_evals` counts the start points plus
+    every Nelder-Mead evaluation; `improving_restarts` counts the restarts
+    that raised the best value over all earlier restarts.
+    """
+
+    xi: np.ndarray
+    value: float
+    objective_evals: int
+    improving_restarts: int
+
+    def __iter__(self):
+        return iter((self.xi, self.value))
+
+
+def _lockstep_nelder_mead(func, x0, max_evals: int, tol: float):
+    """Adaptive Nelder-Mead minimization of every row of `x0`, in lock step.
+
+    `func` maps a stack of points (K, D) to K values (+inf where undefined).
+    Each row follows scipy's ``_minimize_neldermead`` (adaptive, xatol =
+    fatol = `tol`, maxfev = `max_evals`) step for step: the same initial
+    simplex, reflection, expansion, contraction and shrink formulas and
+    comparisons, the same argsort of the vertices, and the same budget rule
+    (an evaluation past the budget is not made; in an interrupted shrink the
+    vertex that hit the budget is moved but keeps its stale value).  The
+    rows only share the calls to `func`: one for the reflections, one for
+    the expansions and contractions, one for the shrinks of each iteration.
+
+    Returns the best vertex (R, D), its value (R,) and the evaluation count
+    of each row (R,).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n_rows, dim = x0.shape
+    # the adaptive parameters of Gao & Han, Comput. Optim. Appl. 51, 259 (2012)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    # trial point c_x xbar - c_w x_worst of an expansion, an outside and an
+    # inside contraction ((1 - psi) xbar + psi x_worst, with the sign moved)
+    c_xbar = np.array([1 + rho * chi, 1 + psi * rho, 1 - psi])
+    c_worst = np.array([rho * chi, psi * rho, -psi])
+
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    k = np.arange(dim)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((n_rows, dim + 1), np.inf)
+    first = min(max_evals, dim + 1)
+    fsim[:, :first] = func(sim[:, :first].reshape(-1, dim)).reshape(n_rows, first)
+    nfev = np.full(n_rows, first)
+
+    def sort(s, f):
+        ind = np.argsort(f, axis=1)
+        at = np.arange(len(f))[:, None]
+        return s[at, ind], f[at, ind]
+
+    for _ in range(2):  # scipy sorts twice before its first iteration
+        sim, fsim = sort(sim, fsim)
+    # the rows still iterating, and their simplexes, values and counts
+    rows, s, f, used = np.arange(n_rows), sim, fsim, nfev
+    while True:
+        done = used >= max_evals
+        flat = np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= tol
+        if flat.any():  # scipy's convergence test, its vertex half only where needed
+            done |= flat & (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol)
+        if done.any():
+            sim[rows], fsim[rows], nfev[rows] = s, f, used
+            rows, s, f, used = rows[~done], s[~done], f[~done], used[~done]
+            if rows.size == 0:
+                break
+        xbar = np.add.reduce(s[:, :-1], axis=1) / dim
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = func(xr)
+        used += 1
+
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        second = ~accept & (used < max_evals)
+        ftrial = np.full(rows.size, np.inf)
+        trial = None
+        if second.any():
+            kind = np.where(expand, 0, np.where(outside, 1, 2))[second]
+            trial = (c_xbar[kind, None] * xbar[second]
+                     - c_worst[kind, None] * worst[second])
+            ftrial[second] = func(trial)
+            used[second] += 1
+        take_trial = second & np.where(
+            expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < f[:, -1]))
+        take_xr = accept | (second & expand & ~take_trial)
+        shrink = second & ~expand & ~take_trial
+        s[take_xr, -1], f[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        if trial is not None:
+            pick = take_trial[second]
+            s[take_trial, -1], f[take_trial, -1] = trial[pick], ftrial[take_trial]
+        if shrink.any():
+            left = max_evals - used[shrink]
+            base = s[shrink, :1]
+            moved = base + sigma * (s[shrink, 1:] - base)
+            vertex = np.arange(1, dim + 1)
+            evaluated = vertex <= left[:, None]
+            touched = vertex <= left[:, None] + 1
+            s_sh, f_sh = s[shrink], f[shrink]
+            s_sh[:, 1:][touched] = moved[touched]
+            if evaluated.any():
+                f_sh[:, 1:][evaluated] = func(moved[evaluated])
+            s[shrink], f[shrink] = s_sh, f_sh
+            used[shrink] += evaluated.sum(axis=1)
+        s, f = sort(s, f)
+    return sim[:, 0], fsim.min(axis=1), nfev
 
 
 def optimize_settings(objective, n_points: int, budget: OptimizerBudget,
-                      init_radius: float = 1.0):
+                      init_radius: float = 1.0) -> SettingsOptimum:
     """Maximize `objective` over N-point settings sets in the complex plane.
 
-    `objective` takes a complex array of length `n_points` and returns a real
-    number.  Each restart runs a Nelder-Mead descent on the 2N stacked real
-    coordinates; all restart initializations are drawn upfront from a single
-    seeded stream (uniform on a disc of radius `init_radius`), so results are
-    deterministic per seed and monotone in the restart count.  The returned
-    value is never below the best raw initialization.
+    `objective` is stacked: it maps a complex array (K, n_points) of K
+    settings sets to their K real values (non-finite values count as -inf).
+    All restart starts are drawn upfront from one seeded stream (uniform on
+    a disc of radius `init_radius`), so results are deterministic per seed
+    and monotone in the restart count.  Every restart with a finite start
+    then runs two adaptive Nelder-Mead descents on the 2N real coordinates,
+    the second from the first one's endpoint; the restarts step in lock step
+    (:func:`_lockstep_nelder_mead`), each exactly as scipy's Nelder-Mead
+    would.  The best value is updated strictly, in restart order, so the
+    result equals that of running the restarts one after another, and it is
+    never below the best finite start.
     """
+    if not (math.isfinite(init_radius) and init_radius > 0):
+        raise ValueError("init_radius must be positive and finite, got %r"
+                         % (init_radius,))
     rng = np.random.default_rng(budget.seed)
-    n_restarts = budget.restarts
     # upfront draw, one uniform pair per point so that restart k's start set
     # is independent of the total restart count (radius sqrt(u) for uniform
     # area density)
-    u = rng.random((n_restarts, n_points, 2))
+    u = rng.random((budget.restarts, n_points, 2))
     inits = init_radius * np.sqrt(u[:, :, 0]) * np.exp(2j * math.pi * u[:, :, 1])
 
-    def as_complex(x):
-        return x[:n_points] + 1j * x[n_points:]
+    def evaluate(xi):
+        vals = np.asarray(objective(xi), dtype=float)
+        if vals.shape != xi.shape[:1]:
+            raise ValueError("the objective must map settings sets (K, %d) to K "
+                             "values; got shape %r" % (n_points, vals.shape))
+        return vals
 
     def neg_objective(x):
-        val = objective(as_complex(x))
-        if not np.isfinite(val):
-            return np.inf
-        return -float(val)
+        vals = evaluate(x[:, :n_points] + 1j * x[:, n_points:])
+        return np.where(np.isfinite(vals), -vals, np.inf)
 
-    best_val = -np.inf
-    best_x = None
-    options = {
-        "maxfev": budget.max_evals,
-        "xatol": budget.tol,
-        "fatol": budget.tol,
-        "adaptive": True,
-    }
-    for i in range(n_restarts):
-        xi0 = inits[i]
-        x0 = np.concatenate([xi0.real, xi0.imag])
-        f0 = objective(xi0)
-        if not np.isfinite(f0):
-            logger.debug("restart %d discarded: non-finite objective at start", i)
-            continue
-        if f0 > best_val:
-            best_val = float(f0)
-            best_x = x0
-        # two descent stages per restart: the second rebuilds the simplex at
-        # the first's endpoint, which escapes collapsed simplexes.  Polishing
-        # per restart (not just the global winner) keeps the result monotone
-        # in the restart count.
-        for _ in range(2):
-            res = minimize(neg_objective, x0, method="Nelder-Mead",
-                           options=options)
-            if not np.isfinite(res.fun):
-                break
-            x0 = res.x
-            if -res.fun > best_val:
-                best_val = float(-res.fun)
-                best_x = res.x
+    f0 = evaluate(inits)
+    evals = f0.size
+    start = np.isfinite(f0)
+    if not start.all():
+        logger.debug("restarts %s discarded: non-finite objective at start",
+                     np.flatnonzero(~start).tolist())
+    x0 = np.concatenate([inits.real, inits.imag], axis=1)
+    # candidates[i]: restart i's finite start and the finite endpoints of its
+    # descents, in the order the best value is updated
+    candidates = [[(f0[i], x0[i])] if start[i] else [] for i in range(budget.restarts)]
+    rows = np.flatnonzero(start)
+    x = x0[rows]
+    # two descent stages per restart: the second rebuilds the simplex at
+    # the first's endpoint, which escapes collapsed simplexes.  Polishing
+    # per restart (not just the global winner) keeps the result monotone
+    # in the restart count.
+    for _ in range(2):
+        if rows.size == 0:
+            break
+        x, fun, nfev = _lockstep_nelder_mead(neg_objective, x, budget.max_evals,
+                                             budget.tol)
+        evals += int(nfev.sum())
+        keep = np.isfinite(fun)
+        for i, value, point in zip(rows[keep], -fun[keep], x[keep]):
+            candidates[i].append((value, point))
+        rows, x = rows[keep], x[keep]
+
+    best_val, best_x, improving = -np.inf, None, 0
+    for steps in candidates:
+        improved = False
+        for value, point in steps:
+            if value > best_val:
+                best_val, best_x, improved = float(value), point, True
+        improving += improved
     if best_x is None:
         raise ValueError("every restart produced a non-finite objective")
-    return as_complex(np.asarray(best_x, dtype=float)), best_val
+    return SettingsOptimum(best_x[:n_points] + 1j * best_x[n_points:], best_val,
+                           evals, improving)
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float) -> float:

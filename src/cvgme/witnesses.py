@@ -104,29 +104,42 @@ def trace_norm_hermitian(mat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def build_settings_matrix(entry_fn, xi, normalized: bool = True) -> np.ndarray:
+def _settings_matrices(entry_fn, xi, normalized: bool = True, kernel_fn=None):
+    """Hermitian matrices 0.5 (E + E^H) of a stack of settings sets xi (..., N).
+
+    E[a, b] = entry_fn(xi_a - xi_b), divided by N when `normalized` and
+    multiplied by kernel_fn(xi_a - xi_b) when a kernel is given; both are
+    called once, on the whole (..., N, N) array of differences.
+    """
+    n = xi.shape[-1]
+    diffs = xi[..., :, None] - xi[..., None, :]
+    mat = np.asarray(entry_fn(diffs), dtype=complex)
+    if mat.shape != diffs.shape:
+        mat = np.broadcast_to(mat, diffs.shape)
+    if normalized:
+        mat = mat / n
+    if kernel_fn is not None:
+        mat = mat * np.asarray(kernel_fn(diffs), dtype=complex)
+    return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+
+
+def build_settings_matrix(entry_fn, xi, normalized: bool = True,
+                          kernel_fn=None) -> np.ndarray:
     """Hermitian matrix of entry_fn(xi_n - xi_n') over a settings set.
 
-    Only the upper triangle is evaluated; the lower is its conjugate mirror.
-    With `normalized` the whole matrix carries a 1/N factor (so a unit
-    diagonal entry function gives trace 1).
+    `entry_fn` (and `kernel_fn`, whose values multiply the entries) is called
+    once on the N x N array of differences; the matrix is the Hermitian part
+    of the result.  With `normalized` the entries carry a 1/N factor (so a
+    unit diagonal entry function gives trace 1).
     """
     xi = np.asarray(xi, dtype=complex).ravel()
-    n = xi.size
-    if n < 2:
+    if xi.size < 2:
         raise ValueError("a settings set needs at least 2 points")
     if not np.all(np.isfinite(xi)):
         raise ValueError("settings points must be finite")
-    mat = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            val = complex(entry_fn(xi[a] - xi[b]))
-            if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-                raise ValueError("entry function returned a non-finite value")
-            mat[a, b] = val
-            mat[b, a] = val.conjugate()
-    if normalized:
-        mat /= n
+    mat = _settings_matrices(entry_fn, xi, normalized, kernel_fn)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("entry function returned a non-finite value")
     return mat
 
 
@@ -447,6 +460,14 @@ def witness_d(target, scheme: RandomDisplacementScheme, n_samples: int,
     )
 
 
+def _check_kernel(kernel: families.KernelSpec, modes: int) -> None:
+    if len(kernel.ancillas) != modes - 2:
+        raise ValueError(
+            "kernel lists %d ancillas, need M-2 = %d"
+            % (len(kernel.ancillas), modes - 2)
+        )
+
+
 def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
               family: str | None = None, seed: int | None = None) -> WitnessReport:
     """Kernel-matrix witness: trace norm of C o K against 1.
@@ -456,17 +477,12 @@ def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
     the product of ancilla characteristic functions at the raw differences
     (no 1/N there - only C is normalized).
     """
-    if len(kernel.ancillas) != modes - 2:
-        raise ValueError(
-            "kernel lists %d ancillas, need M-2 = %d"
-            % (len(kernel.ancillas), modes - 2)
-        )
+    _check_kernel(kernel, modes)
     xi = np.asarray(xi, dtype=complex).ravel()
-    c_mat = build_settings_matrix(char_entry_fn, xi, normalized=True)
-    k_mat = build_settings_matrix(
-        lambda d: families.kernel_c_entry(kernel, d), xi, normalized=False
+    mat = build_settings_matrix(
+        char_entry_fn, xi, kernel_fn=lambda d: families.kernel_c_entry(kernel, d)
     )
-    value = trace_norm_hermitian(c_mat * k_mat)
+    value = trace_norm_hermitian(mat)
     return WitnessReport(
         witness="E",
         value=value,
@@ -484,64 +500,81 @@ def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
     )
 
 
-def settings_objective(entry_fn, kernel_entry_fn=None, escape_slope: float = 30.0):
-    """Optimization objective over settings sets, with plateau escape.
+def stacked_settings_objective(entry_fn, kernel_entry_fn=None,
+                               escape_slope: float = 30.0):
+    """Optimization objective over a stack of settings sets, with plateau escape.
 
-    The raw trace norm of the (normalized, trace-1) settings matrix equals 1
-    on the entire region where the matrix is positive semidefinite, which
-    leaves simplex methods stranded.  Whenever the smallest eigenvalue is
-    nonnegative the objective returns 1 - slope * lambda_min instead, turning
-    the flat region into a gentle funnel toward the PSD boundary while
-    agreeing with the trace norm wherever the matrix has a negative mode.
+    The returned function maps settings sets xi (..., N) to their values
+    (...), with one stacked eigvalsh for the whole stack.  The raw trace norm
+    of the (normalized, trace-1) settings matrix equals 1 on the entire
+    region where the matrix is positive semidefinite, which leaves simplex
+    methods stranded.  Whenever the smallest eigenvalue is nonnegative the
+    objective returns 1 - slope * lambda_min instead, turning the flat region
+    into a gentle funnel toward the PSD boundary while agreeing with the
+    trace norm wherever the matrix has a negative mode.
     """
 
     def objective(xi):
-        xi = np.asarray(xi, dtype=complex).ravel()
-        n = xi.size
-        diffs = xi[:, None] - xi[None, :]
-        mat = np.asarray(entry_fn(diffs), dtype=complex) / n
-        if kernel_entry_fn is not None:
-            mat = mat * np.asarray(kernel_entry_fn(diffs), dtype=complex)
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = _settings_matrices(entry_fn, np.asarray(xi, dtype=complex), True,
+                                 kernel_entry_fn)
         eigs = np.linalg.eigvalsh(mat)
-        lam_min = float(eigs[0])
-        if lam_min < -1e-14:
-            return float(np.sum(np.abs(eigs)))
-        return 1.0 - escape_slope * lam_min
+        lam_min = eigs[..., 0]
+        return np.where(lam_min < -1e-14, np.abs(eigs).sum(axis=-1),
+                        1.0 - escape_slope * lam_min)
 
     return objective
+
+
+def settings_objective(entry_fn, kernel_entry_fn=None, escape_slope: float = 30.0):
+    """The plateau-escape objective of one settings set (a float per call).
+
+    This is :func:`stacked_settings_objective` applied to a single set.
+    """
+    stacked = stacked_settings_objective(entry_fn, kernel_entry_fn, escape_slope)
+    return lambda xi: float(stacked(np.asarray(xi, dtype=complex).ravel()))
+
+
+def _optimized_report(report, budget, optimum) -> WitnessReport:
+    report.params["restarts"] = budget.restarts
+    report.params["max_evals"] = budget.max_evals
+    report.params["objective_evals"] = optimum.objective_evals
+    report.params["improving_restarts"] = optimum.improving_restarts
+    return report
 
 
 def optimize_witness_b(spec: families.FamilySpec, n_points: int,
                        budget: numerics.OptimizerBudget,
                        init_radius: float | None = None) -> WitnessReport:
     """Optimize the settings-matrix witness over Xi for a closed-form family."""
+    if n_points < 2:
+        raise ValueError("a settings set needs at least 2 points")
     entry = lambda d: families.family_c_entry(spec, d)
     if init_radius is None:
         init_radius = 3.0 / math.sqrt(spec.modes)
-    xi, _ = numerics.optimize_settings(
-        settings_objective(entry), n_points, budget, init_radius
+    optimum = numerics.optimize_settings(
+        stacked_settings_objective(entry), n_points, budget, init_radius
     )
-    report = witness_b(entry, xi, spec.modes, family=spec.label(), seed=budget.seed)
-    report.params["restarts"] = budget.restarts
-    report.params["max_evals"] = budget.max_evals
-    return report
+    report = witness_b(entry, optimum.xi, spec.modes, family=spec.label(),
+                       seed=budget.seed)
+    return _optimized_report(report, budget, optimum)
 
 
 def optimize_witness_e(spec: families.FamilySpec, kernel: families.KernelSpec,
                        n_points: int, budget: numerics.OptimizerBudget,
                        init_radius: float | None = None) -> WitnessReport:
     """Optimize the kernel-matrix witness over Xi for a closed-form family."""
+    if n_points < 2:
+        raise ValueError("a settings set needs at least 2 points")
+    _check_kernel(kernel, spec.modes)
     entry = lambda d: families.family_c_entry(spec, d)
     kernel_entry = lambda d: families.kernel_c_entry(kernel, d)
     if init_radius is None:
         init_radius = 3.0 / math.sqrt(spec.modes)
-    xi, _ = numerics.optimize_settings(
-        settings_objective(entry, kernel_entry), n_points, budget, init_radius
+    optimum = numerics.optimize_settings(
+        stacked_settings_objective(entry, kernel_entry), n_points, budget,
+        init_radius
     )
     report = witness_e(
-        entry, xi, kernel, spec.modes, family=spec.label(), seed=budget.seed
+        entry, optimum.xi, kernel, spec.modes, family=spec.label(), seed=budget.seed
     )
-    report.params["restarts"] = budget.restarts
-    report.params["max_evals"] = budget.max_evals
-    return report
+    return _optimized_report(report, budget, optimum)

@@ -135,6 +135,25 @@ def test_csv_reruns_byte_identical(tmp_path):
     assert (out_c / "mc-witness4.csv").read_bytes() != bytes_a
 
 
+def test_settings_w_reports_optimizer_work_in_json_only(tmp_path):
+    argv = ["settings-w", "--m", "3", "--eta", "0.03", "--n-points", "4",
+            "--restarts", "3", "--max-evals", "100", "--seed", "1", "--out", str(tmp_path)]
+    cli.main(argv)
+    header = (tmp_path / "settings-w.csv").read_text(encoding="ascii").splitlines()[0]
+    assert header.split(",") == ["n_points", "value", "threshold", "violation",
+                                 "n_settings", "certified"]
+    (report,) = json.loads((tmp_path / "settings-w.json").read_text())["reports"]
+    assert report["params"]["objective_evals"] > 3
+    assert 1 <= report["params"]["improving_restarts"] <= 3
+
+
+def test_settings_w_one_point_exits_one(tmp_path, capsys):
+    code = cli.main(["settings-w", "--n-points", "1", "--seed", "0",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "at least 2 points" in capsys.readouterr().err
+
+
 def test_certified_column_matches_violation_sign(tmp_path):
     out = str(tmp_path)
     cli.main(["wstate-loss", "--m-range", "3..4", "--delta", "0.02",

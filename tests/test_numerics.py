@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from cvgme import families as fam
 from cvgme import numerics as num
+from cvgme import witnesses as wit
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,70 @@ def test_lattice_integral_matches_midpoint_sum(fn, folds, block_cells, monkeypat
 def quad_objective(xi):
     # smooth test surface with the max at a known settings set
     target = np.array([0.5 + 0.5j, -0.5, 0.25j])
-    return 1.0 - float(np.sum(np.abs(xi - target) ** 2))
+    return 1.0 - np.sum(np.abs(xi - target) ** 2, axis=-1)
+
+
+def patchy(xi):
+    # undefined (nan) wherever the first point has real part above 0.2
+    return np.where(xi[..., 0].real > 0.2, np.nan, -np.sum(np.abs(xi) ** 2, axis=-1))
+
+
+def terraced(xi):
+    # piecewise constant: ties between vertices, failed contractions, shrinks
+    return -np.sum(np.floor(4 * np.abs(xi - 0.3) ** 2), axis=-1)
+
+
+def scipy_reference(objective, n_points, budget, init_radius=1.0):
+    """The restarted Nelder-Mead, one restart after another with scipy.
+
+    `objective` maps one settings set to a value.  Returns the best set, its
+    value, the objective evaluations and the improving restarts.
+    """
+    rng = np.random.default_rng(budget.seed)
+    u = rng.random((budget.restarts, n_points, 2))
+    inits = init_radius * np.sqrt(u[:, :, 0]) * np.exp(2j * math.pi * u[:, :, 1])
+
+    def as_complex(x):
+        return x[:n_points] + 1j * x[n_points:]
+
+    def neg_objective(x):
+        val = objective(as_complex(x))
+        if not np.isfinite(val):
+            return np.inf
+        return -float(val)
+
+    options = {"maxfev": budget.max_evals, "xatol": budget.tol,
+               "fatol": budget.tol, "adaptive": True}
+    best_val, best_x, evals, improving = -np.inf, None, 0, 0
+    for xi0 in inits:
+        x0 = np.concatenate([xi0.real, xi0.imag])
+        f0 = objective(xi0)
+        evals += 1
+        if not np.isfinite(f0):
+            continue
+        improved = False
+        if f0 > best_val:
+            best_val, best_x, improved = float(f0), x0, True
+        for _ in range(2):
+            res = minimize(neg_objective, x0, method="Nelder-Mead", options=options)
+            evals += res.nfev
+            if not np.isfinite(res.fun):
+                break
+            x0 = res.x
+            if -res.fun > best_val:
+                best_val, best_x, improved = float(-res.fun), res.x, True
+        improving += improved
+    if best_x is None:
+        raise ValueError("every restart produced a non-finite objective")
+    return as_complex(best_x), best_val, evals, improving
+
+
+def assert_matches_reference(objective, one_set, n_points, budget, **kwargs):
+    got = num.optimize_settings(objective, n_points, budget, **kwargs)
+    xi, value, evals, improving = scipy_reference(one_set, n_points, budget, **kwargs)
+    np.testing.assert_array_equal(got.xi, xi)
+    assert got.value == value
+    assert (got.objective_evals, got.improving_restarts) == (evals, improving)
 
 
 def test_optimizer_finds_quadratic_max():
@@ -144,14 +212,75 @@ def test_optimizer_deterministic():
 
 
 def test_optimizer_survives_non_finite_patches():
-    def patchy(xi):
-        if xi[0].real > 0.2:
-            return float("nan")
-        return -float(np.sum(np.abs(xi) ** 2))
-
     budget = num.OptimizerBudget(restarts=8, max_evals=400, tol=1e-7, seed=5)
     _, val = num.optimize_settings(patchy, 2, budget)
     assert np.isfinite(val)
+
+
+# budgets that run out in the initial simplex (1, 3), mid-expansion (quad 37,
+# patchy 7), mid-contraction (patchy 37) and mid-shrink (terraced 7, 37)
+@pytest.mark.parametrize("max_evals", [1, 3, 7, 37, 400])
+@pytest.mark.parametrize("tol", [0.0, 1e-7])
+@pytest.mark.parametrize("objective,n_points",
+                         [(quad_objective, 3), (patchy, 2), (terraced, 2)],
+                         ids=["quad", "patchy", "terraced"])
+def test_lockstep_matches_scipy(objective, n_points, max_evals, tol):
+    budget = num.OptimizerBudget(restarts=6, max_evals=max_evals, tol=tol, seed=2)
+    assert_matches_reference(objective, objective, n_points, budget)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), restarts=st.integers(1, 6),
+       max_evals=st.integers(1, 300), tol=st.sampled_from([0.0, 1e-7, 1e-3]),
+       surface=st.sampled_from([(quad_objective, 3), (patchy, 2), (terraced, 2)]))
+def test_lockstep_matches_scipy_property(seed, restarts, max_evals, tol, surface):
+    objective, n_points = surface
+    budget = num.OptimizerBudget(restarts=restarts, max_evals=max_evals, tol=tol,
+                                 seed=seed)
+    try:
+        scipy_reference(objective, n_points, budget)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-finite"):
+            num.optimize_settings(objective, n_points, budget)
+        return
+    assert_matches_reference(objective, objective, n_points, budget)
+
+
+@pytest.mark.parametrize("kernel", [None, fam.vacuum_kernel(1)], ids=["B", "E"])
+def test_lockstep_matches_scipy_on_the_settings_objective(kernel):
+    spec = fam.w_family(3)
+    entry = lambda d: fam.family_c_entry(spec, d)
+    kernel_entry = None if kernel is None else (lambda d: fam.kernel_c_entry(kernel, d))
+    budget = num.OptimizerBudget(restarts=8, max_evals=400, tol=1e-7, seed=4)
+    assert_matches_reference(wit.stacked_settings_objective(entry, kernel_entry),
+                             wit.settings_objective(entry, kernel_entry), 4, budget,
+                             init_radius=3.0 / math.sqrt(3.0))
+
+
+def test_optimizer_rejects_a_one_set_objective():
+    budget = num.OptimizerBudget(restarts=2, max_evals=10, seed=0)
+    with pytest.raises(ValueError, match="K values"):
+        num.optimize_settings(lambda xi: float(np.sum(np.abs(xi) ** 2)), 3, budget)
+
+
+def test_optimizer_every_start_non_finite():
+    budget = num.OptimizerBudget(restarts=3, max_evals=50, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        num.optimize_settings(lambda xi: np.full(xi.shape[:-1], np.nan), 2, budget)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_optimizer_rejects_bad_init_radius(radius):
+    budget = num.OptimizerBudget(restarts=2, max_evals=10, seed=0)
+    with pytest.raises(ValueError, match="init_radius"):
+        num.optimize_settings(quad_objective, 3, budget, init_radius=radius)
+
+
+def test_optimizer_budget_rejects_negative_tol():
+    with pytest.raises(ValueError, match="tolerance"):
+        num.OptimizerBudget(tol=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        num.OptimizerBudget(tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -80,18 +80,30 @@ def test_settings_matrix_layout():
     calls = []
 
     def entry(d):
-        calls.append(complex(d))
-        return complex(d) + 2.0
+        calls.append(np.shape(d))
+        # Hermitian like every characteristic function: entry(-d) = conj(entry(d))
+        return (2.0 + np.abs(d) ** 2) * np.exp(1j * d.real)
 
     xi = np.array([0.5, -0.25j, 1.0 + 1.0j])
     mat = wit.build_settings_matrix(entry, xi, normalized=False)
-    # only upper-triangle differences were evaluated
-    assert len(calls) == 6
+    # one call, on the whole array of differences
+    assert calls == [(3, 3)]
     np.testing.assert_allclose(mat, mat.conj().T)
     assert mat[0, 1] == pytest.approx(entry(xi[0] - xi[1]))
     assert mat[1, 0] == pytest.approx(np.conj(mat[0, 1]))
     scaled = wit.build_settings_matrix(entry, xi, normalized=True)
     np.testing.assert_allclose(scaled, mat / 3.0, atol=1e-15)
+
+
+def test_settings_matrix_kernel_multiplies_entries():
+    spec, kernel = fam.w_family(3, eta=0.2), fam.squeezed_kernel(1, 0.7)
+    entry = lambda d: fam.family_c_entry(spec, d)
+    kernel_entry = lambda d: fam.kernel_c_entry(kernel, d)
+    xi = np.array([0.3 - 0.1j, -0.4j, 0.8 + 0.2j, -0.5])
+    mat = wit.build_settings_matrix(entry, xi, kernel_fn=kernel_entry)
+    c_mat = wit.build_settings_matrix(entry, xi)
+    k_mat = wit.build_settings_matrix(kernel_entry, xi, normalized=False)
+    np.testing.assert_allclose(mat, c_mat * k_mat, rtol=0, atol=1e-15)
 
 
 def test_settings_matrix_rejections():
@@ -479,6 +491,20 @@ def test_settings_objective_funnels_psd_plateau():
 # optimizer wrappers
 
 
+def test_stacked_objective_is_the_one_set_objective_per_row():
+    spec, kernel = fam.cat_family(3, 1.0, eta=0.1), fam.vacuum_kernel(1)
+    entry = lambda d: fam.family_c_entry(spec, d)
+    kernel_entry = lambda d: fam.kernel_c_entry(kernel, d)
+    rng = np.random.default_rng(12)
+    stack = rng.normal(scale=0.7, size=(9, 5)) + 1j * rng.normal(scale=0.7, size=(9, 5))
+    stack[0] = 0.01 * stack[0]  # one set on the PSD plateau
+    for k in (None, kernel_entry):
+        values = wit.stacked_settings_objective(entry, k)(stack)
+        one_set = wit.settings_objective(entry, k)
+        assert values.shape == (9,)
+        assert values.tolist() == [one_set(xi) for xi in stack]
+
+
 def test_optimize_witness_b_w_family():
     budget = num.OptimizerBudget(restarts=16, max_evals=800, tol=1e-7, seed=0)
     rep = wit.optimize_witness_b(fam.w_family(3, eta=0.03), 4, budget)
@@ -498,3 +524,28 @@ def test_optimize_witness_e_needs_six_points_for_lossless_w():
     rep6 = wit.optimize_witness_e(fam.w_family(3), kern, 6, budget)
     assert rep6.certified
     assert rep6.value > 1.0 + 1e-4
+
+
+def test_optimize_witness_reports_optimizer_work():
+    budget = num.OptimizerBudget(restarts=4, max_evals=60, tol=1e-7, seed=0)
+    rep = wit.optimize_witness_b(fam.w_family(3, eta=0.03), 4, budget)
+    # 4 start points plus at most two budgets per restart
+    assert 4 < rep.params["objective_evals"] <= 4 + 2 * 4 * 60
+    assert 1 <= rep.params["improving_restarts"] <= 4
+    rep = wit.optimize_witness_e(fam.w_family(3), fam.vacuum_kernel(1), 5, budget)
+    assert 4 < rep.params["objective_evals"] <= 4 + 2 * 4 * 60
+    assert 1 <= rep.params["improving_restarts"] <= 4
+
+
+@pytest.mark.parametrize("optimize", [
+    lambda n, b: wit.optimize_witness_b(fam.w_family(3), n, b),
+    lambda n, b: wit.optimize_witness_e(fam.w_family(3), fam.vacuum_kernel(1), n, b),
+    lambda n, b: wit.optimize_witness_e(fam.w_family(3), fam.vacuum_kernel(2), 4, b),
+], ids=["B-one-point", "E-one-point", "E-wrong-kernel"])
+def test_optimize_witness_rejects_bad_input_before_optimizing(optimize, monkeypatch):
+    def optimizer_ran(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(num, "optimize_settings", optimizer_ran)
+    with pytest.raises(ValueError, match="at least 2 points|ancillas"):
+        optimize(1, num.OptimizerBudget(restarts=2, max_evals=10, seed=0))
