@@ -198,11 +198,7 @@ def v2d_quadrature(spec: families.FamilySpec, delta: float,
     """Absolute slice volume by midpoint quadrature of the closed-form slice."""
     if radius is None:
         radius = numerics.tail_radius(families.slice_abs_envelope(spec))
-    value = numerics.midpoint_lattice_integral(
-        lambda x, y: np.abs(families.family_wigner_slice_xy(spec, x, y)),
-        numerics.disc_grid(delta, radius),
-        **families.slice_symmetries(spec),
-    )
+    value = witnesses.abs_slice_integral(spec, numerics.disc_grid(delta, radius))
     scale = (2.0 / math.pi) * (math.pi / 2.0) ** spec.modes
     return scale * value
 
@@ -448,12 +444,11 @@ def _run_rmin_scan(args) -> ExperimentResult:
 
 def _run_numint(args) -> ExperimentResult:
     spec = families.parse_family(args.family)
-    slice_fn = lambda a: families.family_wigner_slice(spec, a)
     deltas = parse_range(args.delta_range) if args.delta_range else [args.delta]
     rows, reports = [], []
     for delta in deltas:
         grid = numerics.disc_grid(delta, args.r, energy_bound=args.energy)
-        rep = witnesses.witness_a(slice_fn, grid, spec.modes, family=spec.label())
+        rep = witnesses.witness_a(spec, grid, spec.modes, family=spec.label())
         err = rep.params["error"]
         rows.append(
             {

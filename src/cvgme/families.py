@@ -365,6 +365,7 @@ def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
     raise ValueError("no Fock expansion for family %r" % tag)
 
 
+# not called in src, but perfbench/tracing.py patches this name
 def family_wigner_slice(spec: FamilySpec, alpha):
     """Wigner function on the diagonal slice alpha*(1,...,1).
 
@@ -536,14 +537,22 @@ def family_c_entry(spec: FamilySpec, xi):
         e2 = math.exp(-2.0 * m * abs(gamma) ** 2)
         pref = 1.0 / (1.0 + e2)
         cross = xi * np.conj(gamma)
-        out = (
-            pref
-            * np.exp(-0.5 * m * u)
-            * (
-                np.cos(2.0 * m * root * cross.imag)
-                + e2 * np.cosh(2.0 * m * root * cross.real)
+        z = 2.0 * m * root * cross.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (
+                pref
+                * np.exp(-0.5 * m * u)
+                * (np.cos(2.0 * m * root * cross.imag) + e2 * np.cosh(z))
             )
-        )
+        if not np.isfinite(out).all():
+            # far out exp(-Mu/2) underflows where cosh(z) overflows: take the
+            # cosh term in log space, where its exponents are <= 0
+            damp = -0.5 * m * u - 2.0 * m * abs(gamma) ** 2
+            far = pref * (
+                np.exp(-0.5 * m * u) * np.cos(2.0 * m * root * cross.imag)
+                + 0.5 * (np.exp(damp + z) + np.exp(damp - z))
+            )
+            out = np.where(np.isfinite(out), out, far)
     else:
         raise ValueError("no settings-matrix entry for family %r" % spec.tag)
     if out.ndim == 0:

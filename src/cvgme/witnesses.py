@@ -8,9 +8,11 @@ noise can never flip a borderline case toward a false positive.
 Scheme summary (M system modes throughout):
 
 * ``witness_a`` - midpoint-rule absolute integral of the displaced-parity
-  expectation over a 2D slice, against pi/(4 sqrt(M-1)); carries either the
-  rigorous per-cell discretization bound (when an energy bound is supplied)
-  or a clearly-labelled heuristic grid-halving error.
+  expectation over a 2D slice, against pi/(4 sqrt(M-1)); the slice is a
+  family's closed form or any vectorized callable, summed block by block
+  over the disc lattice.  Carries either the rigorous per-cell
+  discretization bound (when an energy bound is supplied) or a
+  clearly-labelled heuristic grid-halving error.
 * ``witness_b`` - trace norm of the N x N Hermitian matrix of multiport
   parity-displacement expectations, against M/(2 sqrt(M-1)).
 * ``witness_c`` - parity of the collective centre-of-mass mode of the system
@@ -164,15 +166,22 @@ def distinct_settings(xi, tol: float = 1e-6) -> int:
     return len(reps)
 
 
-def _eval_on_grid(fn, centers: np.ndarray) -> np.ndarray:
-    """Evaluate a slice function on all cell centers, vectorized if possible."""
-    try:
-        vals = np.asarray(fn(centers), dtype=float)
-        if vals.shape == centers.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(c)) for c in centers])
+def abs_slice_integral(slice_fn, grid: numerics.GridSpec) -> float:
+    """Midpoint-rule integral of |W| over the retained cells of `grid`.
+
+    `slice_fn` is the Wigner function on the slice: a `FamilySpec` with a
+    closed slice form (summed from its split x, y factors, folded by its
+    reflection symmetries), or a vectorized callable of complex alpha, whose
+    output must have the shape of its input (else ValueError).  The sum runs
+    block by block over the lattice (`numerics.midpoint_lattice_integral`).
+    """
+    if isinstance(slice_fn, families.FamilySpec):
+        spec = slice_fn
+        return numerics.midpoint_lattice_integral(
+            lambda x, y: np.abs(families.family_wigner_slice_xy(spec, x, y)),
+            grid, **families.slice_symmetries(spec))
+    return numerics.midpoint_lattice_integral(
+        lambda x, y: np.abs(slice_fn(x + 1j * y)), grid)
 
 
 def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
@@ -180,26 +189,26 @@ def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
               family: str | None = None) -> WitnessReport:
     """Absolute-integral witness on a 2D slice, via the midpoint rule.
 
-    `slice_fn` is the Wigner function on the slice (a callable of complex
-    alpha, vectorized or not).  With an energy bound the per-cell rigorous
-    error ledger applies; otherwise the error is estimated by halving the
-    grid spacing, and the verdict is flagged as non-rigorous.
+    `slice_fn` is a `FamilySpec` or a vectorized callable of complex alpha,
+    summed as in :func:`abs_slice_integral`.  With an energy bound the
+    per-cell rigorous error ledger applies; otherwise the error is estimated
+    by halving the grid spacing, and the verdict is flagged as non-rigorous.
     """
     if energy_bound is None:
         energy_bound = grid.energy_bound
-    centers = grid.centers()
     pi_scale = (math.pi / 2.0) ** modes
-    integrand = np.abs(pi_scale * _eval_on_grid(slice_fn, centers))
-    value = numerics.midpoint_integral(integrand, grid.delta)
+
+    def integral(g):
+        return pi_scale * abs_slice_integral(slice_fn, g)
+
+    value = integral(grid)
     threshold = slice_integral_threshold(modes)
 
     if energy_bound is not None:
         err = numerics.rigorous_error(grid, modes, energy_bound)
         rigorous = True
     elif allow_heuristic:
-        half = numerics.disc_grid(grid.delta / 2.0, grid.radius)
-        half_vals = np.abs(pi_scale * _eval_on_grid(slice_fn, half.centers()))
-        err = abs(value - numerics.midpoint_integral(half_vals, half.delta))
+        err = abs(value - integral(numerics.disc_grid(grid.delta / 2.0, grid.radius)))
         rigorous = False
     else:
         raise ValueError(

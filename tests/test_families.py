@@ -219,6 +219,34 @@ def test_c_entry_against_oracle(spec):
         assert val == pytest.approx(oracle, abs=1e-8)
 
 
+def test_cat_c_entry_far_out_is_finite(recwarn):
+    # exp(-M|d|^2/2) underflows where cosh overflows; the entry is ~0 there
+    spec = fam.cat_family(3, 1.0)
+    for d in (130.0, 130.0 + 5j, -200j, 1e3):
+        val = fam.family_c_entry(spec, d)
+        assert math.isfinite(val) and val >= 0.0
+    assert len(recwarn) == 0
+    mat = cvgme.witnesses.build_settings_matrix(
+        lambda d: fam.family_c_entry(spec, d), [0.0, 0.3, 120.0])
+    assert np.all(np.isfinite(mat))
+    assert mat[0, 2] == 0.0
+
+
+def test_cat_c_entry_log_form_against_mpmath():
+    # at |d| ~ 2|gamma| the cosh term overflows alone but the entry is O(1)
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    m, gamma = 3, 7.7
+    spec = fam.cat_family(m, gamma)
+    for d in (15.4, 15.0 + 0.1j, 14.9):
+        dm = mp.mpc(d)
+        e2 = mp.exp(-2 * m * gamma**2)
+        want = mp.exp(-0.5 * m * abs(dm) ** 2) * (
+            mp.cos(2 * m * (dm * gamma).imag)
+            + e2 * mp.cosh(2 * m * (dm * gamma).real)) / (1 + e2)
+        assert fam.family_c_entry(spec, d) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_kernel_entries():
     xi = 0.4 - 0.3j
     u = abs(xi) ** 2

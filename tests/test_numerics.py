@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -33,10 +33,15 @@ def test_grid_validation():
         num.disc_grid(0.5, 0.2)
 
 
-def test_rigorous_error_matches_per_cell_loop():
-    grid = num.disc_grid(0.25, 1.0)
-    modes, energy = 3, 1.0
+@settings(max_examples=60, deadline=None)
+@example(delta=0.25, radius=1.0, modes=3, energy=1.0)
+@given(delta=st.floats(0.02, 1.0), radius=st.floats(0.05, 1.5),
+       modes=st.integers(2, 9), energy=st.floats(0.0, 10.0))
+def test_rigorous_error_matches_per_cell_loop(delta, radius, modes, energy):
+    assume(delta <= radius)
+    grid = num.disc_grid(delta, radius)
     n_re, n_im = grid.indices()
+    assert grid.cell_count() == n_re.size
     d = grid.delta
     total = 0.0
     for a, b in zip(n_re, n_im):

@@ -6,6 +6,7 @@ collective-parity scheme is pinned to hand-derived rational anchors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,77 @@ def test_witness_a_does_not_certify_vacuum():
     rep = wit.witness_a(slice_fn, grid, 3)
     assert not rep.certified
     assert rep.value < rep.threshold
+
+
+def pointwise_witness_a(slice_fn, grid, modes, energy):
+    """Value and error of witness A, summed cell by cell over grid.centers()."""
+
+    def integral(g):
+        vals = np.abs((math.pi / 2.0) ** modes * slice_fn(g.centers()))
+        return num.midpoint_integral(vals, g.delta)
+
+    value = integral(grid)
+    if energy is not None:
+        n_re, n_im = grid.indices()
+        d = grid.delta
+        err = sum(2 * d**3 * math.sqrt(2 * modes * energy)
+                  + 2 * modes * d**4 * (1 + math.sqrt(2.0 * (a * a + b * b)))
+                  for a, b in zip(n_re, n_im))
+    else:
+        err = abs(value - integral(num.disc_grid(grid.delta / 2.0, grid.radius)))
+    return value, err
+
+
+@pytest.mark.parametrize("energy", [None, 2.0], ids=["heuristic", "rigorous"])
+@pytest.mark.parametrize("spec", [
+    fam.w_family(3),
+    fam.w_family(4, eta=0.1),
+    fam.dicke2_family(3),
+    fam.psi_family("psi2"),
+    fam.psi_family("psi1"),  # odd in Re alpha: no point fold
+    fam.cat_family(3, 0.8),
+    fam.cat_family(3, 0.5 + 0.6j, eta=0.1),  # complex gamma: no conj fold
+], ids=lambda s: s.label())
+@pytest.mark.parametrize("delta,radius", [(0.05, 1.5), (0.013, 0.9)])
+def test_witness_a_family_path_matches_pointwise_sum(spec, energy, delta, radius):
+    # the blockwise, folded family sum, the blockwise callable sum and the
+    # cell-by-cell sum visit the same cells; only the order of the sum differs
+    grid = num.disc_grid(delta, radius, energy_bound=energy)
+    slice_fn = lambda a: fam.family_wigner_slice(spec, a)
+    want_value, want_err = pointwise_witness_a(slice_fn, grid, spec.modes, energy)
+    for arg in (spec, slice_fn):
+        rep = wit.witness_a(arg, grid, spec.modes)
+        assert rep.value == pytest.approx(want_value, rel=1e-13)
+        if energy is None:
+            assert rep.params["heuristic_error"] == pytest.approx(want_err, abs=1e-12)
+        else:
+            assert rep.rigorous_error == pytest.approx(want_err, rel=1e-12)
+        assert rep.certified == (want_value - want_err
+                                 > wit.slice_integral_threshold(spec.modes) + wit.GUARD)
+
+
+@pytest.mark.parametrize("slice_fn", [
+    lambda a: np.sum(np.exp(-np.abs(a) ** 2), axis=0),
+    lambda a: np.exp(-np.abs(a[:, :1]) ** 2),
+    lambda a: 0.5,
+], ids=["reduced", "column", "scalar"])
+def test_witness_a_rejects_misshapen_slice_output(slice_fn):
+    # a broadcast in the block sum would give a wrong value without an error
+    with pytest.raises(ValueError, match="shape"):
+        wit.witness_a(slice_fn, num.disc_grid(0.1, 1.0, energy_bound=1.0), 3)
+
+
+def test_witness_a_memory_stays_blockwise():
+    # the whole delta = 0.005 lattice (1.1 M cells) and its delta/2 halving
+    # (4.5 M cells) are never held at once: the sum goes block by block
+    tracemalloc.start()
+    try:
+        rep = wit.witness_a(fam.w_family(5), num.disc_grid(0.005, 3.0), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.params["error_kind"] == "heuristic"
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
