@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -219,53 +220,36 @@ def _volume_report(spec, value, estimator, extra=None) -> witnesses.WitnessRepor
     )
 
 
+#: The value/threshold/violation/certified tail shared by most row layouts.
+_TAIL = ["value", "threshold", "violation", "certified"]
+
+
+def _row(value, threshold, certified=None, violation=None, **lead) -> dict:
+    """One result row: the columns `lead` plus the value/threshold/violation/
+    certified tail.  The violation defaults to value - threshold and the
+    verdict to value > threshold + GUARD."""
+    if violation is None:
+        violation = value - threshold
+    if certified is None:
+        certified = value > threshold + witnesses.GUARD
+    return dict(lead, value=value, threshold=threshold, violation=violation,
+                certified=certified)
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
 
 
-def _run_wstate_violation(args) -> ExperimentResult:
+def _run_closed_form_violation(build, args) -> ExperimentResult:
+    """The closed-form slice volume of `build(m)` for each M of --m-range."""
     rows, reports = [], []
     for m in parse_int_range(args.m_range):
-        spec = families.w_family(m)
+        spec = build(m)
         value = families.v2d_closed_form(spec)
-        thr = witnesses.volume_threshold(m)
-        rep = _volume_report(spec, value, "closed_form")
-        rows.append(
-            {
-                "m": m,
-                "value": value,
-                "threshold": thr,
-                "violation": value - thr,
-                "certified": rep.certified,
-            }
-        )
-        reports.append(rep)
-    return ExperimentResult(
-        ["m", "value", "threshold", "violation", "certified"], rows, reports
-    )
-
-
-def _run_dicke_violation(args) -> ExperimentResult:
-    rows, reports = [], []
-    for m in parse_int_range(args.m_range):
-        spec = families.dicke2_family(m)
-        value = families.v2d_closed_form(spec)
-        thr = witnesses.volume_threshold(m)
-        rep = _volume_report(spec, value, "closed_form")
-        rows.append(
-            {
-                "m": m,
-                "value": value,
-                "threshold": thr,
-                "violation": value - thr,
-                "certified": rep.certified,
-            }
-        )
-        reports.append(rep)
-    return ExperimentResult(
-        ["m", "value", "threshold", "violation", "certified"], rows, reports
-    )
+        rows.append(_row(value, witnesses.volume_threshold(m), m=m))
+        reports.append(_volume_report(spec, value, "closed_form"))
+    return ExperimentResult(["m"] + _TAIL, rows, reports)
 
 
 def _run_cat_violation(args) -> ExperimentResult:
@@ -276,26 +260,13 @@ def _run_cat_violation(args) -> ExperimentResult:
         for gamma in parse_range(args.gamma_range):
             spec = families.cat_family(m, gamma, eta=args.eta)
             value = v2d_quadrature(spec, args.delta)
-            rows.append(
-                {
-                    "m": m,
-                    "gamma": gamma,
-                    "value": value,
-                    "threshold": thr,
-                    "violation": value - thr,
-                    "certified": value > thr + witnesses.GUARD,
-                }
-            )
+            rows.append(_row(value, thr, m=m, gamma=gamma))
             if best is None or value > best[1]:
                 best = (spec, value)
         reports.append(
             _volume_report(best[0], best[1], "quadrature", {"delta": args.delta})
         )
-    return ExperimentResult(
-        ["m", "gamma", "value", "threshold", "violation", "certified"],
-        rows,
-        reports,
-    )
+    return ExperimentResult(["m", "gamma"] + _TAIL, rows, reports)
 
 
 def _run_asym_volumes(args) -> ExperimentResult:
@@ -303,102 +274,54 @@ def _run_asym_volumes(args) -> ExperimentResult:
     for tag in ("psi1", "psi2"):
         spec = families.psi_family(tag)
         value = v2d_quadrature(spec, args.delta, radius=args.r)
-        thr = witnesses.volume_threshold(spec.modes)
-        rep = _volume_report(spec, value, "quadrature", {"delta": args.delta})
-        rows.append(
-            {
-                "state": tag,
-                "value": value,
-                "threshold": thr,
-                "violation": value - thr,
-                "certified": rep.certified,
-            }
-        )
-        reports.append(rep)
-    return ExperimentResult(
-        ["state", "value", "threshold", "violation", "certified"], rows, reports
-    )
+        rows.append(_row(value, witnesses.volume_threshold(spec.modes), state=tag))
+        reports.append(_volume_report(spec, value, "quadrature", {"delta": args.delta}))
+    return ExperimentResult(["state"] + _TAIL, rows, reports)
 
 
-def _run_wstate_loss(args) -> ExperimentResult:
+def _w_sweep(args):
+    """wstate-loss rows: the W state on each M of --m-range."""
+    return "m", [(m, partial(families.w_family, m))
+                 for m in parse_int_range(args.m_range)]
+
+
+def _cat_sweep(args):
+    """cat-loss rows: the cat state on --m modes for each gamma of --gamma-range."""
+    return "gamma", [(gamma, partial(families.cat_family, args.m, gamma))
+                     for gamma in parse_range(args.gamma_range)]
+
+
+def _run_loss_threshold(sweep, args) -> ExperimentResult:
+    """The loss threshold eta_max of each row of `sweep(args)`.
+
+    The sweep gives the name of its column and, per row, the column value x
+    and the builder of the row's family at loss eta, `build(eta=eta)`.
+    """
+    column, points = sweep(args)
     rows, reports = [], []
-    for m in parse_int_range(args.m_range):
-        thr = witnesses.volume_threshold(m)
+    for x, build in points:
+        lossless = build()
+        thr = witnesses.volume_threshold(lossless.modes)
 
-        def detects(eta, m=m, thr=thr):
-            spec = families.w_family(m, eta=eta)
-            return v2d_quadrature(spec, args.delta) > thr
+        def detects(eta, build=build, thr=thr):
+            return v2d_quadrature(build(eta=eta), args.delta) > thr
 
-        lossless = families.w_family(m)
         value0 = v2d_quadrature(lossless, args.delta)
         try:
             eta_max = numerics.bisect_threshold(detects, 0.0, 0.5, args.tol)
             found = True
-        except ValueError:
+        except numerics.NoBoundaryError:
             eta_max = float("nan")
             found = False
-        rows.append(
-            {
-                "m": m,
-                "eta_max": eta_max,
-                "value": value0,
-                "threshold": thr,
-                "violation": value0 - thr,
-                "certified": found and value0 > thr + witnesses.GUARD,
-            }
-        )
+        rows.append(_row(value0, thr, found and value0 > thr + witnesses.GUARD,
+                         **{column: x, "eta_max": eta_max}))
         reports.append(
             _volume_report(
                 lossless, value0, "quadrature",
                 {"delta": args.delta, "eta_max": eta_max},
             )
         )
-    return ExperimentResult(
-        ["m", "eta_max", "value", "threshold", "violation", "certified"],
-        rows,
-        reports,
-    )
-
-
-def _run_cat_loss(args) -> ExperimentResult:
-    rows, reports = [], []
-    m = args.m
-    thr = witnesses.volume_threshold(m)
-    for gamma in parse_range(args.gamma_range):
-
-        def detects(eta, gamma=gamma):
-            spec = families.cat_family(m, gamma, eta=eta)
-            return v2d_quadrature(spec, args.delta) > thr
-
-        lossless = families.cat_family(m, gamma)
-        value0 = v2d_quadrature(lossless, args.delta)
-        try:
-            eta_max = numerics.bisect_threshold(detects, 0.0, 0.5, args.tol)
-            found = True
-        except ValueError:
-            eta_max = float("nan")
-            found = False
-        rows.append(
-            {
-                "gamma": gamma,
-                "eta_max": eta_max,
-                "value": value0,
-                "threshold": thr,
-                "violation": value0 - thr,
-                "certified": found and value0 > thr + witnesses.GUARD,
-            }
-        )
-        reports.append(
-            _volume_report(
-                lossless, value0, "quadrature",
-                {"delta": args.delta, "eta_max": eta_max},
-            )
-        )
-    return ExperimentResult(
-        ["gamma", "eta_max", "value", "threshold", "violation", "certified"],
-        rows,
-        reports,
-    )
+    return ExperimentResult([column, "eta_max"] + _TAIL, rows, reports)
 
 
 def _run_rmin_scan(args) -> ExperimentResult:
@@ -414,32 +337,17 @@ def _run_rmin_scan(args) -> ExperimentResult:
         try:
             r_min = numerics.monotone_boundary(detects, args.r_lo, args.r_hi, args.tol)
             value = v2d_quadrature(spec, args.delta, radius=r_min + args.tol)
-            found = True
-        except ValueError:
+        except numerics.NoBoundaryError:
             r_min = float("nan")
             value = v2d_quadrature(spec, args.delta, radius=args.r_hi)
-            found = value > thr + witnesses.GUARD
-        rows.append(
-            {
-                "eta": eta,
-                "r_min": r_min,
-                "value": value,
-                "threshold": thr,
-                "violation": value - thr,
-                "certified": found and value > thr + witnesses.GUARD,
-            }
-        )
+        rows.append(_row(value, thr, eta=eta, r_min=r_min))
         reports.append(
             _volume_report(
                 spec, value, "quadrature",
                 {"delta": args.delta, "r_min": r_min},
             )
         )
-    return ExperimentResult(
-        ["eta", "r_min", "value", "threshold", "violation", "certified"],
-        rows,
-        reports,
-    )
+    return ExperimentResult(["eta", "r_min"] + _TAIL, rows, reports)
 
 
 def _run_numint(args) -> ExperimentResult:
@@ -450,16 +358,8 @@ def _run_numint(args) -> ExperimentResult:
         grid = numerics.disc_grid(delta, args.r, energy_bound=args.energy)
         rep = witnesses.witness_a(spec, grid, spec.modes, family=spec.label())
         err = rep.params["error"]
-        rows.append(
-            {
-                "delta": delta,
-                "value": rep.value,
-                "error": err,
-                "threshold": rep.threshold,
-                "violation": rep.value - err - rep.threshold,
-                "certified": rep.certified,
-            }
-        )
+        rows.append(_row(rep.value, rep.threshold, rep.certified,
+                         rep.value - err - rep.threshold, delta=delta, error=err))
         reports.append(rep)
     return ExperimentResult(
         ["delta", "value", "error", "threshold", "violation", "certified"],
@@ -468,35 +368,11 @@ def _run_numint(args) -> ExperimentResult:
     )
 
 
-def _run_settings_w(args) -> ExperimentResult:
-    spec = families.w_family(args.m, eta=args.eta)
-    rep = witnesses.optimize_witness_b(spec, args.n_points, _budget(args))
-    row = {
-        "n_points": args.n_points,
-        "value": rep.value,
-        "threshold": rep.threshold,
-        "violation": rep.value - rep.threshold,
-        "n_settings": rep.n_settings,
-        "certified": rep.certified,
-    }
-    return ExperimentResult(
-        ["n_points", "value", "threshold", "violation", "n_settings", "certified"],
-        [row],
-        [rep],
-    )
-
-
-def _run_settings_cat(args) -> ExperimentResult:
-    spec = families.cat_family(args.m, args.gamma, eta=args.eta)
-    rep = witnesses.optimize_witness_b(spec, args.n_points, _budget(args))
-    row = {
-        "n_points": args.n_points,
-        "value": rep.value,
-        "threshold": rep.threshold,
-        "violation": rep.value - rep.threshold,
-        "n_settings": rep.n_settings,
-        "certified": rep.certified,
-    }
+def _run_settings(build, args) -> ExperimentResult:
+    """The settings-matrix witness of `build(args)`, optimized over its points."""
+    rep = witnesses.optimize_witness_b(build(args), args.n_points, _budget(args))
+    row = _row(rep.value, rep.threshold, rep.certified, n_points=args.n_points,
+               n_settings=rep.n_settings)
     return ExperimentResult(
         ["n_points", "value", "threshold", "violation", "n_settings", "certified"],
         [row],
@@ -521,24 +397,10 @@ def _run_zeta_scan(args) -> ExperimentResult:
             continue
         spec = families.w_family(m, eta=eta)
         rep = witnesses.optimize_witness_e(spec, kernel, args.n_points, budget)
-        rows.append(
-            {
-                "zeta": zeta,
-                "eta": eta,
-                "value": rep.value,
-                "threshold": rep.threshold,
-                "violation": rep.value - rep.threshold,
-                "certified": rep.certified,
-            }
-        )
+        rows.append(_row(rep.value, rep.threshold, rep.certified, zeta=zeta, eta=eta))
         reports.append(rep)
     notes = {"skipped_zeta": skipped} if skipped else {}
-    return ExperimentResult(
-        ["zeta", "eta", "value", "threshold", "violation", "certified"],
-        rows,
-        reports,
-        notes,
-    )
+    return ExperimentResult(["zeta", "eta"] + _TAIL, rows, reports, notes)
 
 
 def kernel_scan_values(spec: families.FamilySpec, s_values) -> np.ndarray:
@@ -560,17 +422,7 @@ def _run_kernel_scan(args) -> ExperimentResult:
     spec = families.parse_family(args.family)
     s_values = parse_range(args.s_range)
     values = kernel_scan_values(spec, s_values)
-    rows = []
-    for s, value in zip(s_values, values):
-        rows.append(
-            {
-                "s": s,
-                "value": float(value),
-                "threshold": 1.0,
-                "violation": float(value) - 1.0,
-                "certified": bool(value > 1.0 + witnesses.GUARD),
-            }
-        )
+    rows = [_row(float(value), 1.0, s=s) for s, value in zip(s_values, values)]
     k_best = int(np.argmax(values))
     kernel = families.squeezed_kernel(1, s_values[k_best])
     rep = witnesses.witness_e(
@@ -581,19 +433,12 @@ def _run_kernel_scan(args) -> ExperimentResult:
         family=spec.label(),
     )
     notes = {"s_at_max": s_values[k_best], "max_value": float(values[k_best])}
-    return ExperimentResult(
-        ["s", "value", "threshold", "violation", "certified"], rows, [rep], notes
-    )
+    return ExperimentResult(["s"] + _TAIL, rows, [rep], notes)
 
 
 def _run_mc_witness4(args) -> ExperimentResult:
     seed = _require_seed(args)
     spec = families.parse_family(args.family)
-    if spec.tag != "w":
-        raise CliError(
-            "only the W family has a tabulated collective-mode distribution; "
-            "got %r" % spec.tag
-        )
     m = spec.modes
     scale = args.cov_scale
     if scale is None:
@@ -604,14 +449,8 @@ def _run_mc_witness4(args) -> ExperimentResult:
     )
     rep = witnesses.witness_d(spec, scheme, args.shots, seed)
     err = 3.0 * rep.stderr
-    row = {
-        "n_samples": args.shots,
-        "value": rep.value,
-        "error": err,
-        "threshold": rep.threshold,
-        "violation": rep.threshold - rep.value - err,
-        "certified": rep.certified,
-    }
+    row = _row(rep.value, rep.threshold, rep.certified, rep.threshold - rep.value - err,
+               n_samples=args.shots, error=err)
     return ExperimentResult(
         ["n_samples", "value", "error", "threshold", "violation", "certified"],
         [row],
@@ -623,60 +462,36 @@ def _run_mc_witness4(args) -> ExperimentResult:
 # registry / parser
 # ---------------------------------------------------------------------------
 
+#: Each experiment's name and the reference study its output regenerates.
 EXPERIMENTS = {
-    "wstate-violation": ExperimentInfo(
-        "wstate-violation", "--m-range",
-        "violation-vs-mode-count curve for W states"),
-    "cat-violation": ExperimentInfo(
-        "cat-violation", "--m-range --gamma-range --eta --delta",
-        "violation-vs-cat-size curves"),
-    "dicke-violation": ExperimentInfo(
-        "dicke-violation", "--m-range",
-        "violation-vs-mode-count curve for two-excitation Dicke states"),
-    "asym-volumes": ExperimentInfo(
-        "asym-volumes", "--delta --r",
-        "slice-volume table for the two asymmetric three-mode states"),
-    "wstate-loss": ExperimentInfo(
-        "wstate-loss", "--m-range --delta --tol",
-        "loss-threshold curve for W states"),
-    "cat-loss": ExperimentInfo(
-        "cat-loss", "--m --gamma-range --delta --tol",
-        "loss-threshold-vs-cat-size curve"),
-    "rmin-scan": ExperimentInfo(
-        "rmin-scan", "--m --eta-range --delta --tol",
-        "minimal certification radius against loss"),
-    "numint": ExperimentInfo(
-        "numint", "--family --delta --delta-range --r --energy",
-        "discretized-integration certification study"),
-    "settings-w": ExperimentInfo(
-        "settings-w", "--m --eta --n-points --restarts --max-evals --seed",
-        "optimized settings-matrix certification for lossy W states"),
-    "settings-cat": ExperimentInfo(
-        "settings-cat",
-        "--m --gamma --eta --n-points --restarts --max-evals --seed",
-        "optimized settings-matrix certification for lossy cat states"),
-    "zeta-scan": ExperimentInfo(
-        "zeta-scan", "--m --zeta-range --n-points --restarts --max-evals --seed",
-        "kernel-witness value against the collective-noise parameter"),
-    "kernel-scan": ExperimentInfo(
-        "kernel-scan", "--family --s-range",
-        "kernel-witness value against the squeezing of the kernel"),
-    "mc-witness4": ExperimentInfo(
-        "mc-witness4", "--family --alpha --cov-scale --shots --seed",
-        "Monte-Carlo randomized-displacement certification"),
+    "wstate-violation": "violation-vs-mode-count curve for W states",
+    "cat-violation": "violation-vs-cat-size curves",
+    "dicke-violation": "violation-vs-mode-count curve for two-excitation Dicke states",
+    "asym-volumes": "slice-volume table for the two asymmetric three-mode states",
+    "wstate-loss": "loss-threshold curve for W states",
+    "cat-loss": "loss-threshold-vs-cat-size curve",
+    "rmin-scan": "minimal certification radius against loss",
+    "numint": "discretized-integration certification study",
+    "settings-w": "optimized settings-matrix certification for lossy W states",
+    "settings-cat": "optimized settings-matrix certification for lossy cat states",
+    "zeta-scan": "kernel-witness value against the collective-noise parameter",
+    "kernel-scan": "kernel-witness value against the squeezing of the kernel",
+    "mc-witness4": "Monte-Carlo randomized-displacement certification",
 }
 
 _RUNNERS = {
-    "wstate-violation": _run_wstate_violation,
+    "wstate-violation": partial(_run_closed_form_violation, families.w_family),
     "cat-violation": _run_cat_violation,
-    "dicke-violation": _run_dicke_violation,
+    "dicke-violation": partial(_run_closed_form_violation, families.dicke2_family),
     "asym-volumes": _run_asym_volumes,
-    "wstate-loss": _run_wstate_loss,
-    "cat-loss": _run_cat_loss,
+    "wstate-loss": partial(_run_loss_threshold, _w_sweep),
+    "cat-loss": partial(_run_loss_threshold, _cat_sweep),
     "rmin-scan": _run_rmin_scan,
     "numint": _run_numint,
-    "settings-w": _run_settings_w,
-    "settings-cat": _run_settings_cat,
+    "settings-w": partial(_run_settings,
+                          lambda args: families.w_family(args.m, eta=args.eta)),
+    "settings-cat": partial(_run_settings, lambda args: families.cat_family(
+        args.m, args.gamma, eta=args.eta)),
     "zeta-scan": _run_zeta_scan,
     "kernel-scan": _run_kernel_scan,
     "mc-witness4": _run_mc_witness4,
@@ -686,8 +501,23 @@ STOCHASTIC = frozenset({"settings-w", "settings-cat", "zeta-scan", "mc-witness4"
 
 
 def list_experiments():
-    """Stable-ordered table of experiment names, flags, and output anchors."""
-    return [EXPERIMENTS[name] for name in EXPERIMENTS]
+    """Stable-ordered table of experiment names, flags, and output anchors.
+
+    The flags are the options each experiment's subparser declares ahead of
+    the common ones, plus --seed for the stochastic experiments.
+    """
+    common = _Parser(add_help=False)
+    _add_common(common)
+    skip = {action.dest for action in common._actions} | {"help"}
+    subparsers = build_parser().experiments
+    out = []
+    for name, anchor in EXPERIMENTS.items():
+        flags = [action.option_strings[0] for action in subparsers[name]._actions
+                 if action.dest not in skip]
+        if name in STOCHASTIC:
+            flags.append("--seed")
+        out.append(ExperimentInfo(name, " ".join(flags), anchor))
+    return out
 
 
 def _add_common(sub) -> None:
@@ -704,6 +534,7 @@ def _add_common(sub) -> None:
 
 
 def build_parser() -> _Parser:
+    """The cvgme parser; `.experiments` maps each experiment to its subparser."""
     parser = _Parser(
         prog="cvgme",
         description="Phase-space certification of genuine multipartite "
@@ -714,99 +545,86 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("list", help="list available experiments")
     p.set_defaults(experiment="list")
+    exp = parser.experiments = {name: sub.add_parser(name, help=anchor)
+                                for name, anchor in EXPERIMENTS.items()}
 
-    p = sub.add_parser("wstate-violation",
-                       help=EXPERIMENTS["wstate-violation"].anchor)
-    p.add_argument("--m-range", default="3..8")
-    _add_common(p)
+    exp["wstate-violation"].add_argument("--m-range", default="3..8")
 
-    p = sub.add_parser("cat-violation", help=EXPERIMENTS["cat-violation"].anchor)
+    p = exp["cat-violation"]
     p.add_argument("--m-range", default="3..3")
     p.add_argument("--gamma-range", default="0.1:2:0.05")
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.01)
-    _add_common(p)
 
-    p = sub.add_parser("dicke-violation",
-                       help=EXPERIMENTS["dicke-violation"].anchor)
-    p.add_argument("--m-range", default="3..8")
-    _add_common(p)
+    exp["dicke-violation"].add_argument("--m-range", default="3..8")
 
-    p = sub.add_parser("asym-volumes", help=EXPERIMENTS["asym-volumes"].anchor)
+    p = exp["asym-volumes"]
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--r", type=float, default=3.0)
-    _add_common(p)
 
-    p = sub.add_parser("wstate-loss", help=EXPERIMENTS["wstate-loss"].anchor)
+    p = exp["wstate-loss"]
     p.add_argument("--m-range", default="3..6")
     p.add_argument("--delta", type=float, default=0.005)
     p.add_argument("--tol", type=float, default=2e-4)
-    _add_common(p)
 
-    p = sub.add_parser("cat-loss", help=EXPERIMENTS["cat-loss"].anchor)
+    p = exp["cat-loss"]
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--gamma-range", default="0.5:1.5:0.25")
     p.add_argument("--delta", type=float, default=0.005)
     p.add_argument("--tol", type=float, default=5e-4)
-    _add_common(p)
 
-    p = sub.add_parser("rmin-scan", help=EXPERIMENTS["rmin-scan"].anchor)
+    p = exp["rmin-scan"]
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--eta-range", default="0:0.3:0.05")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--r-lo", type=float, default=0.2)
     p.add_argument("--r-hi", type=float, default=3.0)
-    _add_common(p)
 
-    p = sub.add_parser("numint", help=EXPERIMENTS["numint"].anchor)
+    p = exp["numint"]
     p.add_argument("--family", default="w:M=3")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--delta-range", default=None)
     p.add_argument("--r", type=float, default=0.9)
     p.add_argument("--energy", type=float, default=None,
                    help="mean-photon bound enabling the rigorous error ledger")
-    _add_common(p)
 
-    p = sub.add_parser("settings-w", help=EXPERIMENTS["settings-w"].anchor)
+    p = exp["settings-w"]
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--eta", type=float, default=0.03)
     p.add_argument("--n-points", type=int, default=4)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-evals", type=int, default=2000)
-    _add_common(p)
 
-    p = sub.add_parser("settings-cat", help=EXPERIMENTS["settings-cat"].anchor)
+    p = exp["settings-cat"]
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--n-points", type=int, default=5)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-evals", type=int, default=2000)
-    _add_common(p)
 
-    p = sub.add_parser("zeta-scan", help=EXPERIMENTS["zeta-scan"].anchor)
+    p = exp["zeta-scan"]
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--zeta-range", default="0.25:0.6:0.025")
     p.add_argument("--n-points", type=int, default=6)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-evals", type=int, default=1500)
-    _add_common(p)
 
-    p = sub.add_parser("kernel-scan", help=EXPERIMENTS["kernel-scan"].anchor)
+    p = exp["kernel-scan"]
     p.add_argument("--family", default="cat:M=3,gamma=1")
     p.add_argument("--s-range", default="0.2:1.2:0.005")
-    _add_common(p)
 
-    p = sub.add_parser("mc-witness4", help=EXPERIMENTS["mc-witness4"].anchor)
+    p = exp["mc-witness4"]
     p.add_argument("--family", default="w:M=3")
     p.add_argument("--alpha", default="0",
                    help="phase-space point, python complex syntax")
     p.add_argument("--cov-scale", type=float, default=None,
                    help="isotropic covariance scale (default: soundness bound)")
     p.add_argument("--shots", type=int, default=100000)
-    _add_common(p)
 
+    for p in exp.values():
+        _add_common(p)
     return parser
 
 

@@ -1,13 +1,22 @@
 """Closed-form state families and their analytic phase-space formulas.
 
-Every family here carries some subset of:
+Each family is one `FamilyRecord` in the `FAMILIES` table: its parameters
+(label and CLI keys, converters, defaults, checks) and one field per
+capability, any subset of:
 
-* an exact Fock expansion (the brute-force reference path),
-* a Wigner function on the diagonal slice alpha*(1,...,1), with loss,
-* a characteristic/hybrid-expectation entry used by the settings-matrix
-  witnesses,
-* a smoothed (centre-of-mass, kernel-convolved) Wigner function,
-* a closed-form absolute slice volume.
+* ``fock`` - an exact Fock expansion (the brute-force reference path),
+* ``slice_xy``, ``symmetries``, ``envelope`` - the Wigner function on the
+  diagonal slice alpha*(1,...,1), with loss, its reflections and a radial
+  bound on its magnitude,
+* ``c_entry`` - a characteristic/hybrid-expectation entry used by the
+  settings-matrix witnesses,
+* ``smoothed``, ``com_wigner`` - the smoothed (centre-of-mass,
+  kernel-convolved) and the centre-of-mass Wigner function,
+* ``v2d``, ``energy`` - a closed-form absolute slice volume, the mean
+  total photon number.
+
+A missing capability is None; the public lookups at the end raise one
+ValueError, naming the family and the capability, when asked for it.
 
 The closed forms are the production path; the Fock expansion exists so that
 tests can check every formula against an independent brute-force evaluation.
@@ -18,10 +27,12 @@ exact mixture with the vacuum), never by Kraus enumeration at large M.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, fields
+from functools import cached_property, partial, reduce
 from itertools import permutations
+from typing import Callable
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -45,8 +56,6 @@ _SQ23 = math.sqrt(23.0)
 # Exact radicals confirmed against the brute-force path.
 PSI4_SMOOTHED_AT_ORIGIN = -2.0 * (11.0 * _SQ6 - 4.0) / (81.0 * math.pi)
 PSI5_SMOOTHED_AT_ORIGIN = -(139.0 * _SQ3 - 144.0) / (512.0 * math.pi)
-
-_KNOWN_TAGS = ("w", "cat", "dicke2", "noon3", "psi1", "psi2", "psi4", "psi5")
 
 # Amplitude tables for the two three-mode asymmetric states.  Keys are
 # occupation tuples; values exact up to floating point.
@@ -78,17 +87,78 @@ _PSI2_AMPS = {
     (0, 0, 3): -1 / (6 * _SQ2),
 }
 
-# psi4 and psi5 weigh their two permutation orbits equally, each orbit a
-# uniform superposition of the distinct permutations of these occupations
-_PSI45_ORBITS = {
-    "psi4": ((2, 1, 0, 0), (1, 1, 1, 0)),
-    "psi5": ((2, 1, 1, 0, 0), (1, 1, 1, 1, 0)),
-}
+
+@dataclass(frozen=True)
+class Param:
+    """One family parameter, as written in labels and CLI family strings.
+
+    `key` is matched case-insensitively by `parse_family`; `field` is the
+    `FamilySpec` field it sets; `convert` turns the text (or `default`) into
+    the value and `text` writes the value back (None leaves it out of the
+    label); a value failing `valid` is rejected with the message `rule`.
+    """
+
+    key: str
+    field: str
+    convert: Callable
+    default: object
+    text: Callable
+    valid: Callable
+    rule: str
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(key: str, field: str, what: str, least: int) -> Param:
+    return Param(key, field, int, 3, lambda v: "%d" % v,
+                 lambda v: _is_int(v) and v >= least,
+                 "%s must be an integer >= %d" % (what, least))
+
+
+def _gamma_text(g) -> str:
+    # repr() parenthesizes a complex number only when it has a real part
+    return "%g" % g.real if g.imag == 0 else repr(complex(g)).strip("()")
+
+
+_ETA = Param("eta", "eta", float, 0.0, lambda v: "%g" % v if v else None,
+             lambda v: 0.0 <= v <= 1.0, "loss parameter must lie in [0, 1]")
+_GAMMA = Param("gamma", "gamma", complex, 1, _gamma_text, cmath.isfinite,
+               "coherent amplitude must be finite")
+
+
+@dataclass(frozen=True)
+class FamilyRecord:
+    """What one state family is: its parameters and its capabilities.
+
+    `modes` is the fixed mode count of a family without an ``M`` parameter.
+    Each capability (see the module docstring) is a function of the
+    `FamilySpec` first, or None when the family lacks it.
+    """
+
+    tag: str
+    params: tuple = ()
+    modes: int | None = None
+    fock: Callable | None = None
+    slice_xy: Callable | None = None
+    symmetries: Callable | None = None
+    envelope: Callable | None = None
+    c_entry: Callable | None = None
+    smoothed: Callable | None = None
+    com_wigner: Callable | None = None
+    v2d: Callable | None = None
+    energy: Callable | None = None
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Tagged description of one closed-form family member."""
+    """Tagged description of one closed-form family member.
+
+    Construction checks every parameter of the family's record; a field the
+    family has no parameter for must keep its default (`modes` the record's
+    fixed mode count).
+    """
 
     tag: str
     modes: int
@@ -97,46 +167,26 @@ class FamilySpec:
     n_photons: int = 0
 
     def __post_init__(self):
-        if self.tag not in _KNOWN_TAGS:
+        record = FAMILIES.get(self.tag)
+        if record is None:
             raise ValueError("unknown family tag %r" % self.tag)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("loss parameter must lie in [0, 1]")
-        if self.eta > 0 and self.tag not in ("w", "cat"):
-            raise ValueError("loss is only modelled for the w and cat families")
-        if self.tag in ("w", "cat") and self.modes < 1:
-            raise ValueError("mode count must be >= 1")
-        if self.tag == "dicke2" and self.modes < 2:
-            raise ValueError("two-excitation symmetric states need >= 2 modes")
-        if self.tag == "noon3":
-            if self.modes != 3:
-                raise ValueError("the N00N family here is three-mode")
-            if self.n_photons < 1:
-                raise ValueError("photon number must be >= 1")
-        if self.tag in ("psi1", "psi2") and self.modes != 3:
-            raise ValueError("%s is a three-mode state" % self.tag)
-        if self.tag == "psi4" and self.modes != 4:
-            raise ValueError("psi4 is a four-mode state")
-        if self.tag == "psi5" and self.modes != 5:
-            raise ValueError("psi5 is a five-mode state")
+        free = set()
+        for p in record.params:
+            value = getattr(self, p.field)
+            if not p.valid(value):
+                raise ValueError("%s: %s, got %r" % (self.tag, p.rule, value))
+            free.add(p.field)
+        for f in fields(self)[1:]:  # every field after the tag
+            fixed = record.modes if f.name == "modes" else f.default
+            if f.name not in free and getattr(self, f.name) != fixed:
+                raise ValueError("the %s family fixes %s = %r, got %r"
+                                 % (self.tag, f.name, fixed, getattr(self, f.name)))
 
     def label(self) -> str:
-        if self.tag == "w":
-            s = "w:M=%d" % self.modes
-            if self.eta:
-                s += ",eta=%g" % self.eta
-            return s
-        if self.tag == "cat":
-            g = self.gamma
-            gtxt = "%g" % g.real if g.imag == 0 else repr(g)[1:-1]
-            s = "cat:M=%d,gamma=%s" % (self.modes, gtxt)
-            if self.eta:
-                s += ",eta=%g" % self.eta
-            return s
-        if self.tag == "dicke2":
-            return "dicke2:M=%d" % self.modes
-        if self.tag == "noon3":
-            return "noon3:N=%d" % self.n_photons
-        return self.tag
+        texts = [(p.key, p.text(getattr(self, p.field)))
+                 for p in FAMILIES[self.tag].params]
+        args = ",".join("%s=%s" % (key, text) for key, text in texts if text is not None)
+        return "%s:%s" % (self.tag, args) if args else self.tag
 
 
 def w_family(modes: int, eta: float = 0.0) -> FamilySpec:
@@ -160,8 +210,7 @@ def noon3_family(n_photons: int) -> FamilySpec:
 
 
 def psi_family(which: str) -> FamilySpec:
-    modes = {"psi1": 3, "psi2": 3, "psi4": 4, "psi5": 5}[which]
-    return FamilySpec(which, modes)
+    return FamilySpec(which, FAMILIES[which].modes)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -176,22 +225,12 @@ def parse_family(text: str) -> FamilySpec:
                 raise ValueError("malformed family parameter %r" % part)
             kwargs[key.strip().lower()] = val.strip()
     try:
-        if tag == "w":
-            spec = w_family(int(kwargs.pop("m", 3)), float(kwargs.pop("eta", 0.0)))
-        elif tag == "cat":
-            spec = cat_family(
-                int(kwargs.pop("m", 3)),
-                complex(kwargs.pop("gamma", "1")),
-                float(kwargs.pop("eta", 0.0)),
-            )
-        elif tag == "dicke2":
-            spec = dicke2_family(int(kwargs.pop("m", 3)))
-        elif tag == "noon3":
-            spec = noon3_family(int(kwargs.pop("n", 3)))
-        elif tag in ("psi1", "psi2", "psi4", "psi5"):
-            spec = psi_family(tag)
-        else:
+        record = FAMILIES.get(tag)
+        if record is None:
             raise ValueError("unknown family tag %r" % tag)
+        values = {p.field: p.convert(kwargs.pop(p.key.lower(), p.default))
+                  for p in record.params}
+        spec = FamilySpec(tag, **{"modes": record.modes, **values})
     except (TypeError, ValueError) as exc:
         raise ValueError("cannot parse family %r: %s" % (text, exc)) from None
     if kwargs:
@@ -238,6 +277,14 @@ class KernelSpec:
             for a in self.ancillas
         )
 
+    def check_modes(self, modes: int) -> None:
+        """Raise ValueError unless there are M-2 ancillas for an M-mode system."""
+        if len(self.ancillas) != modes - 2:
+            raise ValueError(
+                "kernel lists %d ancillas, need M-2 = %d"
+                % (len(self.ancillas), modes - 2)
+            )
+
 
 def vacuum_kernel(count: int) -> KernelSpec:
     return KernelSpec((("vacuum",),) * count)
@@ -251,8 +298,38 @@ def squeezed_kernel(count: int, s: float) -> KernelSpec:
     return KernelSpec((("squeezed", s),) * count)
 
 
-def _distinct_permutations(occ):
-    return sorted(set(permutations(occ)))
+def kernel_c_entry(kernel: KernelSpec, xi):
+    """Product of ancilla characteristic functions at `xi` (vectorized)."""
+    xi = np.asarray(xi, dtype=complex)
+    u = np.abs(xi) ** 2
+    out = np.ones_like(u)
+    for anc in kernel.ancillas:
+        if anc[0] == "vacuum":
+            out = out * np.exp(-0.5 * u)
+        elif anc[0] == "fock":
+            out = out * np.exp(-0.5 * u) * eval_genlaguerre(anc[1], 0, u)
+        else:  # squeezed
+            s = anc[1]
+            out = out * np.exp(
+                -0.5 * (s * xi.real) ** 2 - 0.5 * (xi.imag / s) ** 2
+            )
+    return _scalar(out)
+
+
+def _kernel_is_all(kernel: KernelSpec, kind: str, n: int | None = None) -> bool:
+    for anc in kernel.ancillas:
+        if kind == "vacuum":
+            if anc == ("vacuum",) or anc == ("fock", 0):
+                continue
+            return False
+        if anc[0] != kind or (n is not None and anc[1] != n):
+            return False
+    return True
+
+
+def _scalar(out):
+    """A 0-d result as a float; any other array as it is."""
+    return float(out) if out.ndim == 0 else out
 
 
 def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
@@ -261,13 +338,13 @@ def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
     if x == 0.0:
         return 0
     total = math.exp(x)
-    partial = 1.0
+    partial_sum = 1.0
     term = 1.0
     n = 0
-    while total - partial > tol and n < 500:
+    while total - partial_sum > tol and n < 500:
         n += 1
         term *= x / n
-        partial += term
+        partial_sum += term
     return n
 
 
@@ -301,6 +378,418 @@ def _single_occupations(modes: int, n: int):
     return [tuple(n if j == m else 0 for j in range(modes)) for m in range(modes)]
 
 
+class _Plane:
+    """Slice points alpha = x + iy, for real x, y that broadcast.
+
+    When x and y differ in shape (a lattice: x a column, y a row), every
+    exponential and trigonometric factor is split into an x part times a y
+    part, so the transcendental work is O(rows + columns) and the plane is
+    filled by products alone.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.split = self.x.shape != self.y.shape
+
+    @cached_property
+    def u(self):
+        """|alpha|^2"""
+        return self.x * self.x + self.y * self.y
+
+    def gauss(self, c, x0=0.0, y0=0.0):
+        """exp(-c |alpha - (x0 + i y0)|^2)"""
+        x, y = self.x, self.y
+        if self.split:
+            return np.exp(-c * (x - x0) ** 2) * np.exp(-c * (y - y0) ** 2)
+        if x0 == 0.0 and y0 == 0.0:
+            return np.exp(-c * self.u)
+        return np.exp(-c * ((x - x0) ** 2 + (y - y0) ** 2))
+
+    def cos_diff(self, a, b):
+        """cos(a - b) for a on the y axis and b on the x axis"""
+        if self.split:
+            return np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b)
+        return np.cos(a - b)
+
+
+def _even(spec) -> dict:
+    return {"point_even": True, "conj_even": True}
+
+
+# w: a single excitation shared over M modes, with per-mode loss eta
+def _w_fock(spec, cutoff):
+    m = spec.modes
+    amp = 1.0 / math.sqrt(m)
+    pure = _table_state(m, [(occ, amp) for occ in _single_occupations(m, 1)], cutoff)
+    if spec.eta == 0.0:
+        return pure
+    return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m, pure.cutoff))))
+
+
+def _w_slice(spec, p):
+    m = spec.modes
+    poly = (1.0 - spec.eta) * 4.0 * m * p.u + 2.0 * spec.eta - 1.0
+    return (2.0 / math.pi) ** m * p.gauss(2.0 * m) * poly
+
+
+def _w_envelope(spec):
+    m, eta = spec.modes, spec.eta
+    scale = (2.0 / math.pi) ** m
+
+    def env(rho):
+        u = np.asarray(rho) ** 2
+        return scale * np.exp(-2 * m * u) * ((1 - eta) * 4 * m * u + 1.0)
+
+    return env
+
+
+def _w_c_entry(spec, xi):
+    m = spec.modes
+    u = np.abs(xi) ** 2
+    return np.exp(-0.5 * m * u) * (1.0 - m * (1.0 - spec.eta) * u)
+
+
+def _w_smoothed(spec, kernel, alpha, u):
+    if not _kernel_is_all(kernel, "vacuum"):
+        return None
+    m = spec.modes
+    return (
+        (2.0 / (math.pi * (m - 1)))
+        * np.exp(-m * u / (m - 1))
+        * ((m * m / (m - 1)) * (1.0 - spec.eta) * u + m * spec.eta - 1.0)
+    )
+
+
+def _w_com_wigner(spec, beta):
+    # the reduction is the matching mixture of a single photon with the vacuum
+    u = np.abs(beta) ** 2
+    return (2.0 / math.pi) * np.exp(-2.0 * u) * (
+        (1.0 - spec.eta) * (4.0 * u - 1.0) + spec.eta
+    )
+
+
+def _w_v2d(spec):
+    if spec.eta != 0.0:
+        raise ValueError(
+            "no closed-form volume for %r; integrate the slice numerically"
+            % spec.label()
+        )
+    return 4.0 / (spec.modes * math.sqrt(math.e)) - 1.0 / spec.modes
+
+
+# cat: |gamma>^M + |-gamma>^M, with per-mode loss eta
+def _cat_fock(spec, cutoff):
+    m, gamma = spec.modes, spec.gamma
+    if gamma == 0:
+        raise ValueError("cat family needs a nonzero coherent amplitude")
+    if cutoff is None:
+        cutoff = coherent_tail_cutoff(gamma)
+    if spec.eta == 0.0:
+        return _cat_pure(m, gamma, +1, cutoff)
+    # exact rank-2 decomposition of the damped cat
+    g = math.sqrt(1.0 - spec.eta) * gamma
+    c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
+    n_plus_in = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
+    exp_g = math.exp(-2.0 * m * abs(g) ** 2)
+    w_plus = 2.0 * (1.0 + exp_g) * (1.0 + c) / (2.0 * n_plus_in)
+    w_minus = 2.0 * (1.0 - exp_g) * (1.0 - c) / (2.0 * n_plus_in)
+    branches = []
+    if w_plus > 1e-15:
+        branches.append((w_plus, _cat_pure(m, g, +1, cutoff)))
+    if w_minus > 1e-15:
+        branches.append((w_minus, _cat_pure(m, g, -1, cutoff)))
+    total = sum(w for w, _ in branches)
+    return MixedState(tuple((w / total, st) for w, st in branches))
+
+
+def _cat_slice(spec, p):
+    m, gamma = spec.modes, spec.gamma
+    g = math.sqrt(1.0 - spec.eta) * gamma
+    c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
+    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
+    # cos(4M Im(alpha conj g)) with Im(alpha conj g) = y Re g - x Im g
+    fringe = p.cos_diff(4.0 * m * g.real * p.y, 4.0 * m * g.imag * p.x)
+    return ((2.0 / math.pi) ** m / n_plus) * (
+        p.gauss(2.0 * m, g.real, g.imag)
+        + p.gauss(2.0 * m, -g.real, -g.imag)
+        + 2.0 * c * p.gauss(2.0 * m) * fringe
+    )
+
+
+def _cat_symmetries(spec) -> dict:
+    # alpha -> -alpha swaps the two Gaussians; conjugation maps gamma to its conjugate
+    return {"point_even": True, "conj_even": spec.gamma.imag == 0.0}
+
+
+def _cat_envelope(spec):
+    m = spec.modes
+    scale = (2.0 / math.pi) ** m
+    g = abs(math.sqrt(1.0 - spec.eta) * spec.gamma)
+    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(spec.gamma) ** 2))
+
+    def env(rho):
+        rho = np.asarray(rho, dtype=float)
+        return (scale / n_plus) * (
+            np.exp(-2 * m * (rho - g) ** 2)
+            + np.exp(-2 * m * (rho + g) ** 2)
+            + 2 * np.exp(-2 * m * rho * rho)
+        )
+
+    return env
+
+
+def _cat_c_entry(spec, xi):
+    m, gamma = spec.modes, spec.gamma
+    u = np.abs(xi) ** 2
+    root = math.sqrt(1.0 - spec.eta)
+    e2 = math.exp(-2.0 * m * abs(gamma) ** 2)
+    pref = 1.0 / (1.0 + e2)
+    cross = xi * np.conj(gamma)
+    z = 2.0 * m * root * cross.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (
+            pref
+            * np.exp(-0.5 * m * u)
+            * (np.cos(2.0 * m * root * cross.imag) + e2 * np.cosh(z))
+        )
+    if not np.isfinite(out).all():
+        # far out exp(-Mu/2) underflows where cosh(z) overflows: take the
+        # cosh term in log space, where its exponents are <= 0
+        damp = -0.5 * m * u - 2.0 * m * abs(gamma) ** 2
+        far = pref * (
+            np.exp(-0.5 * m * u) * np.cos(2.0 * m * root * cross.imag)
+            + 0.5 * (np.exp(damp + z) + np.exp(damp - z))
+        )
+        out = np.where(np.isfinite(out), out, far)
+    return out
+
+
+def _cat_energy(spec) -> float:
+    x = spec.modes * abs(spec.gamma) ** 2
+    return (1.0 - spec.eta) * x * math.tanh(x)
+
+
+# dicke2: two excitations shared symmetrically over M modes
+def _dicke2_fock(spec, cutoff):
+    m = spec.modes
+    amp = math.sqrt(2.0 / (m * (m - 1)))
+    pairs = [tuple(1 if j in (a, b) else 0 for j in range(m))
+             for a in range(m) for b in range(a + 1, m)]
+    return _table_state(m, [(occ, amp) for occ in pairs], cutoff)
+
+
+def _dicke2_slice(spec, p):
+    m, u = spec.modes, p.u
+    poly = 1.0 + 8.0 * (m - 1) * u * (m * u - 1.0)
+    return (2.0 / math.pi) ** m * p.gauss(2.0 * m) * poly
+
+
+def _dicke2_envelope(spec):
+    m = spec.modes
+    scale = (2.0 / math.pi) ** m
+
+    def env(rho):
+        u = np.asarray(rho) ** 2
+        return scale * np.exp(-2 * m * u) * (1 + 8 * (m - 1) * u * (m * u + 1))
+
+    return env
+
+
+def _dicke2_smoothed(spec, kernel, alpha, u):
+    if spec.modes != 3:
+        return None
+    if _kernel_is_all(kernel, "fock", 1):
+        return (np.exp(-1.5 * u) / (32.0 * math.pi)
+                * (81.0 * u**3 - 234.0 * u**2 + 216.0 * u - 16.0))
+    if _kernel_is_all(kernel, "vacuum"):
+        return np.exp(-1.5 * u) / (24.0 * math.pi) * (8.0 + (9.0 * u - 4.0) ** 2)
+    return None
+
+
+def _dicke2_v2d(spec) -> float:
+    m = spec.modes
+    arg = math.sqrt((m - 2.0) / (2.0 * (m - 1.0)))
+    return (
+        1.0 / m
+        - (16.0 * (m - 1.0) / (math.e * m * m)) * math.sinh(arg)
+        + (8.0 * math.sqrt(2.0 * (m - 2.0) * (m - 1.0)) / (math.e * m * m))
+        * math.cosh(arg)
+    )
+
+
+# noon3: (|N00> + |0N0> + |00N>)/sqrt(3)
+def _noon3_fock(spec, cutoff):
+    return _table_state(
+        3, [(occ, 1.0 / _SQ3) for occ in _single_occupations(3, spec.n_photons)], cutoff
+    )
+
+
+def _noon3_smoothed(spec, kernel, alpha, u):
+    if np.any(alpha != 0):
+        raise ValueError("N00N smoothed forms are tabulated at the origin only")
+    n = spec.n_photons
+    if _kernel_is_all(kernel, "vacuum"):
+        val = (-1.0) ** n * (2.0 + (-1.0) ** n) / (2.0 ** (n - 1) * math.pi)
+    elif _kernel_is_all(kernel, "fock", 1):
+        val = -(2.0 * (-1.0) ** n * (n - 1) - (n + 1)) / (2.0**n * math.pi)
+    else:
+        return None
+    return np.full_like(u, val)
+
+
+# psi1, psi2: three-mode asymmetric superpositions (amplitude tables above)
+def _amps_fock(table, spec, cutoff):
+    return _table_state(spec.modes, table.items(), cutoff)
+
+
+_PSI1_A = 16.0 + 3.0 * _SQ23
+
+
+def _psi1_slice(spec, p):
+    u = p.u
+    return (
+        p.gauss(6.0)
+        / (16.0 * math.pi**3)
+        * (
+            _PSI1_A * (12.0 * u - 1.0) ** 2
+            + 8.0 * _SQ6 * p.x * _PSI1_A * (6.0 * u - 1.0)
+            + 48.0
+            - 15.0 * _SQ23
+        )
+    )
+
+
+def _psi1_symmetries(spec) -> dict:
+    # odd in Re alpha
+    return {"point_even": False, "conj_even": True}
+
+
+def _psi1_envelope(spec):
+    def env(rho):
+        rho = np.asarray(rho, dtype=float)
+        u = rho * rho
+        return (
+            np.exp(-6 * u)
+            / (16 * math.pi**3)
+            * (
+                _PSI1_A * (12 * u + 1) ** 2
+                + 8 * _SQ6 * rho * _PSI1_A * (6 * u + 1)
+                + abs(48 - 15 * _SQ23)
+            )
+        )
+
+    return env
+
+
+def _psi1_smoothed(spec, kernel, alpha, u):
+    if not _kernel_is_all(kernel, "vacuum"):
+        return None
+    return (
+        np.exp(-1.5 * u)
+        / (1024.0 * math.pi)
+        * (
+            896.0
+            - 216.0 * _SQ23
+            + 81.0 * u**2 * _PSI1_A
+            + 12.0 * _SQ2 * alpha.real * _PSI1_A * (9.0 * u - 4.0)
+        )
+    )
+
+
+def _psi1_energy(spec) -> float:
+    w1 = _PSI1_A / 64.0
+    return w1 + 2.0 * (1.0 - w1)
+
+
+def _psi2_slice(spec, p):
+    u = p.u
+    return 4.0 / math.pi**3 * p.gauss(6.0) * (1.0 - 30.0 * u + 108.0 * u**2)
+
+
+def _psi2_envelope(spec):
+    def env(rho):
+        u = np.asarray(rho) ** 2
+        return 4 * np.exp(-6 * u) / math.pi**3 * (1 + 30 * u + 108 * u * u)
+
+    return env
+
+
+def _psi2_smoothed(spec, kernel, alpha, u):
+    if not _kernel_is_all(kernel, "vacuum"):
+        return None
+    return np.exp(-1.5 * u) / (64.0 * math.pi) * (243.0 * u**2 - 144.0 * u + 8.0)
+
+
+# psi4, psi5: two permutation orbits, weighed equally, each a uniform
+# superposition of the distinct permutations of its occupations
+def _orbits_fock(orbits, spec, cutoff):
+    table = []
+    for occ in orbits:
+        perms = sorted(set(permutations(occ)))
+        table += [(key, 1.0 / math.sqrt(2.0 * len(perms))) for key in perms]
+    return _table_state(spec.modes, table, cutoff)
+
+
+def _origin_smoothed(value, spec, kernel, alpha, u):
+    # tabulated for single-photon ancillas at the origin
+    if not _kernel_is_all(kernel, "fock", 1):
+        return None
+    if np.any(alpha != 0):
+        raise ValueError(
+            "smoothed form for %s is tabulated at the origin only" % spec.tag
+        )
+    return np.full_like(u, value)
+
+
+# the record table: one entry per family tag
+FAMILIES = {record.tag: record for record in (
+    FamilyRecord(
+        "w", (_count("M", "modes", "mode count", 1), _ETA),
+        fock=_w_fock, slice_xy=_w_slice, symmetries=_even, envelope=_w_envelope,
+        c_entry=_w_c_entry, smoothed=_w_smoothed, com_wigner=_w_com_wigner,
+        v2d=_w_v2d, energy=lambda spec: 1.0 - spec.eta),
+    FamilyRecord(
+        "cat", (_count("M", "modes", "mode count", 1), _GAMMA, _ETA),
+        fock=_cat_fock, slice_xy=_cat_slice, symmetries=_cat_symmetries,
+        envelope=_cat_envelope, c_entry=_cat_c_entry, energy=_cat_energy),
+    FamilyRecord(
+        "dicke2", (_count("M", "modes", "mode count", 2),),
+        fock=_dicke2_fock, slice_xy=_dicke2_slice, symmetries=_even,
+        envelope=_dicke2_envelope, smoothed=_dicke2_smoothed, v2d=_dicke2_v2d,
+        energy=lambda spec: 2.0),
+    FamilyRecord(
+        "noon3", (_count("N", "n_photons", "photon number", 1),), modes=3,
+        fock=_noon3_fock, smoothed=_noon3_smoothed,
+        energy=lambda spec: float(spec.n_photons)),
+    FamilyRecord(
+        "psi1", modes=3, fock=partial(_amps_fock, _PSI1_AMPS), slice_xy=_psi1_slice,
+        symmetries=_psi1_symmetries, envelope=_psi1_envelope,
+        smoothed=_psi1_smoothed, energy=_psi1_energy),
+    FamilyRecord(
+        "psi2", modes=3, fock=partial(_amps_fock, _PSI2_AMPS), slice_xy=_psi2_slice,
+        symmetries=_even, envelope=_psi2_envelope, smoothed=_psi2_smoothed,
+        energy=lambda spec: 2.0 * 0.75 + 3.0 * 0.25),
+    FamilyRecord(
+        "psi4", modes=4, fock=partial(_orbits_fock, ((2, 1, 0, 0), (1, 1, 1, 0))),
+        smoothed=partial(_origin_smoothed, PSI4_SMOOTHED_AT_ORIGIN),
+        energy=lambda spec: 3.0),
+    FamilyRecord(
+        "psi5", modes=5, fock=partial(_orbits_fock, ((2, 1, 1, 0, 0), (1, 1, 1, 1, 0))),
+        smoothed=partial(_origin_smoothed, PSI5_SMOOTHED_AT_ORIGIN),
+        energy=lambda spec: 4.0),
+)}
+
+
+def _capability(spec: FamilySpec, name: str):
+    fn = getattr(FAMILIES[spec.tag], name)
+    if fn is None:
+        raise ValueError("family %r has no %s capability" % (spec.tag, name))
+    return fn
+
+
+# public lookups: witnesses and cli call these through the module, where
+# perfbench/tracing.py patches them
 def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
     """Exact truncated-Fock representation of the family member.
 
@@ -309,60 +798,7 @@ def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
     below 1e-14 at the default cutoff; the other families default to their
     highest occupied level.
     """
-    tag = spec.tag
-    m = spec.modes
-    if tag == "w":
-        amp = 1.0 / math.sqrt(m)
-        pure = _table_state(m, [(occ, amp) for occ in _single_occupations(m, 1)], cutoff)
-        if spec.eta == 0.0:
-            return pure
-        return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m, pure.cutoff))))
-
-    if tag == "dicke2":
-        amp = math.sqrt(2.0 / (m * (m - 1)))
-        pairs = [tuple(1 if j in (a, b) else 0 for j in range(m))
-                 for a in range(m) for b in range(a + 1, m)]
-        return _table_state(m, [(occ, amp) for occ in pairs], cutoff)
-
-    if tag == "noon3":
-        return _table_state(
-            3, [(occ, 1.0 / _SQ3) for occ in _single_occupations(3, spec.n_photons)], cutoff
-        )
-
-    if tag in ("psi1", "psi2"):
-        return _table_state(3, (_PSI1_AMPS if tag == "psi1" else _PSI2_AMPS).items(), cutoff)
-
-    if tag in ("psi4", "psi5"):
-        table = []
-        for occ in _PSI45_ORBITS[tag]:
-            perms = _distinct_permutations(occ)
-            table += [(key, 1.0 / math.sqrt(2.0 * len(perms))) for key in perms]
-        return _table_state(m, table, cutoff)
-
-    if tag == "cat":
-        gamma = spec.gamma
-        if gamma == 0:
-            raise ValueError("cat family needs a nonzero coherent amplitude")
-        if cutoff is None:
-            cutoff = coherent_tail_cutoff(gamma)
-        if spec.eta == 0.0:
-            return _cat_pure(m, gamma, +1, cutoff)
-        # exact rank-2 decomposition of the damped cat
-        g = math.sqrt(1.0 - spec.eta) * gamma
-        c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
-        n_plus_in = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
-        exp_g = math.exp(-2.0 * m * abs(g) ** 2)
-        w_plus = 2.0 * (1.0 + exp_g) * (1.0 + c) / (2.0 * n_plus_in)
-        w_minus = 2.0 * (1.0 - exp_g) * (1.0 - c) / (2.0 * n_plus_in)
-        branches = []
-        if w_plus > 1e-15:
-            branches.append((w_plus, _cat_pure(m, g, +1, cutoff)))
-        if w_minus > 1e-15:
-            branches.append((w_minus, _cat_pure(m, g, -1, cutoff)))
-        total = sum(w for w, _ in branches)
-        return MixedState(tuple((w / total, st) for w, st in branches))
-
-    raise ValueError("no Fock expansion for family %r" % tag)
+    return _capability(spec, "fock")(spec, cutoff)
 
 
 # not called in src, but perfbench/tracing.py patches this name
@@ -373,73 +809,16 @@ def family_wigner_slice(spec: FamilySpec, alpha):
     w, cat, dicke2, psi1 and psi2 families; others have no closed slice form.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    out = family_wigner_slice_xy(spec, alpha.real, alpha.imag)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar(family_wigner_slice_xy(spec, alpha.real, alpha.imag))
 
 
 def family_wigner_slice_xy(spec: FamilySpec, x, y) -> np.ndarray:
     """The slice Wigner function at alpha = x + iy, for real x, y that broadcast.
 
-    When x and y differ in shape (a lattice: x a column, y a row), every
-    exponential and trigonometric factor is split into an x part times a y
-    part, so the transcendental work is O(rows + columns) and the plane is
-    filled by products alone.
+    When x and y differ in shape (a lattice: x a column, y a row), the
+    closed form is evaluated from separate x and y factors (see `_Plane`).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    split = x.shape != y.shape
-    u = x * x + y * y
-    m = spec.modes
-    scale = (2.0 / math.pi) ** m
-
-    def gauss(c, x0=0.0, y0=0.0):
-        # exp(-c |alpha - (x0 + i y0)|^2)
-        if split:
-            return np.exp(-c * (x - x0) ** 2) * np.exp(-c * (y - y0) ** 2)
-        if x0 == 0.0 and y0 == 0.0:
-            return np.exp(-c * u)
-        return np.exp(-c * ((x - x0) ** 2 + (y - y0) ** 2))
-
-    def cos_diff(a, b):
-        # cos(a - b) for a on the y axis and b on the x axis
-        if split:
-            return np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b)
-        return np.cos(a - b)
-
-    if spec.tag in ("w", "dicke2", "psi2"):
-        if spec.tag == "w":
-            poly = (1.0 - spec.eta) * 4.0 * m * u + 2.0 * spec.eta - 1.0
-            return scale * gauss(2.0 * m) * poly
-        if spec.tag == "dicke2":
-            return scale * gauss(2.0 * m) * (1.0 + 8.0 * (m - 1) * u * (m * u - 1.0))
-        return 4.0 / math.pi**3 * gauss(6.0) * (1.0 - 30.0 * u + 108.0 * u**2)
-    if spec.tag == "cat":
-        gamma = spec.gamma
-        g = math.sqrt(1.0 - spec.eta) * gamma
-        c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
-        n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
-        # cos(4M Im(alpha conj g)) with Im(alpha conj g) = y Re g - x Im g
-        fringe = cos_diff(4.0 * m * g.real * y, 4.0 * m * g.imag * x)
-        return (scale / n_plus) * (
-            gauss(2.0 * m, g.real, g.imag)
-            + gauss(2.0 * m, -g.real, -g.imag)
-            + 2.0 * c * gauss(2.0 * m) * fringe
-        )
-    if spec.tag == "psi1":
-        a = 16.0 + 3.0 * _SQ23
-        return (
-            gauss(6.0)
-            / (16.0 * math.pi**3)
-            * (
-                a * (12.0 * u - 1.0) ** 2
-                + 8.0 * _SQ6 * x * a * (6.0 * u - 1.0)
-                + 48.0
-                - 15.0 * _SQ23
-            )
-        )
-    raise ValueError("no closed slice form for family %r" % spec.tag)
+    return _capability(spec, "slice_xy")(spec, _Plane(x, y))
 
 
 def slice_symmetries(spec: FamilySpec) -> dict:
@@ -450,12 +829,7 @@ def slice_symmetries(spec: FamilySpec) -> dict:
     in Re alpha; the cat swaps its two Gaussians under alpha -> -alpha and is
     even under conjugation only for real gamma.
     """
-    if spec.tag not in ("w", "dicke2", "psi2", "psi1", "cat"):
-        raise ValueError("no closed slice form for family %r" % spec.tag)
-    return {
-        "point_even": spec.tag != "psi1",
-        "conj_even": spec.tag != "cat" or spec.gamma.imag == 0.0,
-    }
+    return _capability(spec, "symmetries")(spec)
 
 
 def slice_abs_envelope(spec: FamilySpec):
@@ -463,58 +837,7 @@ def slice_abs_envelope(spec: FamilySpec):
 
     Used to pick integration radii with provably small truncated tails.
     """
-    m = spec.modes
-    scale = (2.0 / math.pi) ** m
-    if spec.tag == "w":
-        eta = spec.eta
-
-        def env(rho):
-            u = np.asarray(rho) ** 2
-            return scale * np.exp(-2 * m * u) * ((1 - eta) * 4 * m * u + 1.0)
-
-    elif spec.tag == "dicke2":
-
-        def env(rho):
-            u = np.asarray(rho) ** 2
-            return scale * np.exp(-2 * m * u) * (1 + 8 * (m - 1) * u * (m * u + 1))
-
-    elif spec.tag == "cat":
-        g = abs(math.sqrt(1.0 - spec.eta) * spec.gamma)
-        n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(spec.gamma) ** 2))
-
-        def env(rho):
-            rho = np.asarray(rho, dtype=float)
-            return (scale / n_plus) * (
-                np.exp(-2 * m * (rho - g) ** 2)
-                + np.exp(-2 * m * (rho + g) ** 2)
-                + 2 * np.exp(-2 * m * rho * rho)
-            )
-
-    elif spec.tag == "psi1":
-        a = 16.0 + 3.0 * _SQ23
-
-        def env(rho):
-            rho = np.asarray(rho, dtype=float)
-            u = rho * rho
-            return (
-                np.exp(-6 * u)
-                / (16 * math.pi**3)
-                * (
-                    a * (12 * u + 1) ** 2
-                    + 8 * _SQ6 * rho * a * (6 * u + 1)
-                    + abs(48 - 15 * _SQ23)
-                )
-            )
-
-    elif spec.tag == "psi2":
-
-        def env(rho):
-            u = np.asarray(rho) ** 2
-            return 4 * np.exp(-6 * u) / math.pi**3 * (1 + 30 * u + 108 * u * u)
-
-    else:
-        raise ValueError("no slice envelope for family %r" % spec.tag)
-    return env
+    return _capability(spec, "envelope")(spec)
 
 
 def family_c_entry(spec: FamilySpec, xi):
@@ -526,69 +849,7 @@ def family_c_entry(spec: FamilySpec, xi):
     closed form applies to these parity-symmetric families.  Vectorized in
     `xi`.
     """
-    xi = np.asarray(xi, dtype=complex)
-    u = np.abs(xi) ** 2
-    m = spec.modes
-    if spec.tag == "w":
-        out = np.exp(-0.5 * m * u) * (1.0 - m * (1.0 - spec.eta) * u)
-    elif spec.tag == "cat":
-        gamma = spec.gamma
-        root = math.sqrt(1.0 - spec.eta)
-        e2 = math.exp(-2.0 * m * abs(gamma) ** 2)
-        pref = 1.0 / (1.0 + e2)
-        cross = xi * np.conj(gamma)
-        z = 2.0 * m * root * cross.real
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = (
-                pref
-                * np.exp(-0.5 * m * u)
-                * (np.cos(2.0 * m * root * cross.imag) + e2 * np.cosh(z))
-            )
-        if not np.isfinite(out).all():
-            # far out exp(-Mu/2) underflows where cosh(z) overflows: take the
-            # cosh term in log space, where its exponents are <= 0
-            damp = -0.5 * m * u - 2.0 * m * abs(gamma) ** 2
-            far = pref * (
-                np.exp(-0.5 * m * u) * np.cos(2.0 * m * root * cross.imag)
-                + 0.5 * (np.exp(damp + z) + np.exp(damp - z))
-            )
-            out = np.where(np.isfinite(out), out, far)
-    else:
-        raise ValueError("no settings-matrix entry for family %r" % spec.tag)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def kernel_c_entry(kernel: KernelSpec, xi):
-    """Product of ancilla characteristic functions at `xi` (vectorized)."""
-    xi = np.asarray(xi, dtype=complex)
-    u = np.abs(xi) ** 2
-    out = np.ones_like(u)
-    for anc in kernel.ancillas:
-        if anc[0] == "vacuum":
-            out = out * np.exp(-0.5 * u)
-        elif anc[0] == "fock":
-            out = out * np.exp(-0.5 * u) * eval_genlaguerre(anc[1], 0, u)
-        else:  # squeezed
-            s = anc[1]
-            out = out * np.exp(
-                -0.5 * (s * xi.real) ** 2 - 0.5 * (xi.imag / s) ** 2
-            )
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _kernel_is_all(kernel: KernelSpec, kind: str, n: int | None = None) -> bool:
-    for anc in kernel.ancillas:
-        if kind == "vacuum":
-            if anc == ("vacuum",) or anc == ("fock", 0):
-                continue
-            return False
-        if anc[0] != kind or (n is not None and anc[1] != n):
-            return False
-    return True
+    return _scalar(_capability(spec, "c_entry")(spec, np.asarray(xi, dtype=complex)))
 
 
 def family_smoothed_wigner(spec: FamilySpec, kernel: KernelSpec, alpha):
@@ -597,140 +858,29 @@ def family_smoothed_wigner(spec: FamilySpec, kernel: KernelSpec, alpha):
     Raises ValueError for pairs without a closed form; the brute-force
     witness evaluator covers those (at small sizes).
     """
-    if len(kernel.ancillas) != spec.modes - 2:
-        raise ValueError(
-            "kernel lists %d ancillas, need M-2 = %d"
-            % (len(kernel.ancillas), spec.modes - 2)
-        )
+    smoothed = _capability(spec, "smoothed")
+    kernel.check_modes(spec.modes)
     alpha = np.asarray(alpha, dtype=complex)
-    u = np.abs(alpha) ** 2
-    m = spec.modes
-
-    out = None
-    if spec.tag == "w" and _kernel_is_all(kernel, "vacuum"):
-        out = (
-            (2.0 / (math.pi * (m - 1)))
-            * np.exp(-m * u / (m - 1))
-            * ((m * m / (m - 1)) * (1.0 - spec.eta) * u + m * spec.eta - 1.0)
-        )
-    elif spec.tag == "dicke2" and m == 3:
-        if _kernel_is_all(kernel, "fock", 1):
-            out = (
-                np.exp(-1.5 * u)
-                / (32.0 * math.pi)
-                * (81.0 * u**3 - 234.0 * u**2 + 216.0 * u - 16.0)
-            )
-        elif _kernel_is_all(kernel, "vacuum"):
-            out = (
-                np.exp(-1.5 * u)
-                / (24.0 * math.pi)
-                * (8.0 + (9.0 * u - 4.0) ** 2)
-            )
-    elif spec.tag == "psi1" and _kernel_is_all(kernel, "vacuum"):
-        a = 16.0 + 3.0 * _SQ23
-        out = (
-            np.exp(-1.5 * u)
-            / (1024.0 * math.pi)
-            * (
-                896.0
-                - 216.0 * _SQ23
-                + 81.0 * u**2 * a
-                + 12.0 * _SQ2 * alpha.real * a * (9.0 * u - 4.0)
-            )
-        )
-    elif spec.tag == "psi2" and _kernel_is_all(kernel, "vacuum"):
-        out = (
-            np.exp(-1.5 * u)
-            / (64.0 * math.pi)
-            * (243.0 * u**2 - 144.0 * u + 8.0)
-        )
-    elif spec.tag in ("psi4", "psi5") and _kernel_is_all(kernel, "fock", 1):
-        if np.any(alpha != 0):
-            raise ValueError(
-                "smoothed form for %s is tabulated at the origin only" % spec.tag
-            )
-        const = (
-            PSI4_SMOOTHED_AT_ORIGIN if spec.tag == "psi4" else PSI5_SMOOTHED_AT_ORIGIN
-        )
-        out = np.full_like(u, const)
-    elif spec.tag == "noon3":
-        if np.any(alpha != 0):
-            raise ValueError("N00N smoothed forms are tabulated at the origin only")
-        n = spec.n_photons
-        if _kernel_is_all(kernel, "vacuum"):
-            val = (-1.0) ** n * (2.0 + (-1.0) ** n) / (2.0 ** (n - 1) * math.pi)
-        elif _kernel_is_all(kernel, "fock", 1):
-            val = -(2.0 * (-1.0) ** n * (n - 1) - (n + 1)) / (2.0**n * math.pi)
-        else:
-            val = None
-        if val is not None:
-            out = np.full_like(u, val)
-
+    out = smoothed(spec, kernel, alpha, np.abs(alpha) ** 2)
     if out is None:
         raise ValueError(
             "no tabulated smoothed form for family %r with kernel %s; "
             "use the brute-force witness evaluator" % (spec.tag, kernel.label())
         )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar(out)
 
 
 def family_com_wigner(spec: FamilySpec, beta):
-    """Single-mode Wigner of the centre-of-mass reduction (vectorized).
-
-    Only the (possibly lossy) W family is tabulated: its reduction is the
-    matching mixture of a single photon with the vacuum.
-    """
-    if spec.tag != "w":
-        raise ValueError("centre-of-mass reduction tabulated for the w family only")
-    beta = np.asarray(beta, dtype=complex)
-    u = np.abs(beta) ** 2
-    out = (2.0 / math.pi) * np.exp(-2.0 * u) * (
-        (1.0 - spec.eta) * (4.0 * u - 1.0) + spec.eta
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Single-mode Wigner of the centre-of-mass reduction (vectorized)."""
+    com_wigner = _capability(spec, "com_wigner")
+    return _scalar(com_wigner(spec, np.asarray(beta, dtype=complex)))
 
 
 def v2d_closed_form(spec: FamilySpec) -> float:
     """Closed-form absolute slice volume (lossless w and dicke2 only)."""
-    m = spec.modes
-    if spec.tag == "w" and spec.eta == 0.0:
-        return 4.0 / (m * math.sqrt(math.e)) - 1.0 / m
-    if spec.tag == "dicke2":
-        arg = math.sqrt((m - 2.0) / (2.0 * (m - 1.0)))
-        return (
-            1.0 / m
-            - (16.0 * (m - 1.0) / (math.e * m * m)) * math.sinh(arg)
-            + (8.0 * math.sqrt(2.0 * (m - 2.0) * (m - 1.0)) / (math.e * m * m))
-            * math.cosh(arg)
-        )
-    raise ValueError(
-        "no closed-form volume for %r; integrate the slice numerically"
-        % spec.label()
-    )
+    return _capability(spec, "v2d")(spec)
 
 
 def family_energy(spec: FamilySpec) -> float:
     """Mean total photon number (an exact energy bound for grid error terms)."""
-    if spec.tag == "w":
-        return 1.0 - spec.eta
-    if spec.tag == "cat":
-        x = spec.modes * abs(spec.gamma) ** 2
-        return (1.0 - spec.eta) * x * math.tanh(x)
-    if spec.tag == "dicke2":
-        return 2.0
-    if spec.tag == "noon3":
-        return float(spec.n_photons)
-    if spec.tag == "psi1":
-        w1 = (16.0 + 3.0 * _SQ23) / 64.0
-        return w1 + 2.0 * (1.0 - w1)
-    if spec.tag == "psi2":
-        return 2.0 * 0.75 + 3.0 * 0.25
-    if spec.tag == "psi4":
-        return 3.0
-    if spec.tag == "psi5":
-        return 4.0
-    raise ValueError("unknown family %r" % spec.tag)
+    return _capability(spec, "energy")(spec)

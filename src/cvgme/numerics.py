@@ -44,6 +44,9 @@ class GridSpec:
     energy_bound: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta) and math.isfinite(self.radius)):
+            raise ValueError("grid spacing and disc radius must be finite, got "
+                             "delta=%r, radius=%r" % (self.delta, self.radius))
         if self.delta <= 0:
             raise ValueError("grid spacing must be positive")
         if self.radius <= 0:
@@ -366,17 +369,28 @@ def optimize_settings(objective, n_points: int, budget: OptimizerBudget,
                            evals, improving)
 
 
+class NoBoundaryError(ValueError):
+    """A boolean predicate does not flip exactly once on the searched interval."""
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("search tolerance must be positive and finite, got %r" % tol)
+
+
 def bisect_threshold(predicate, lo: float, hi: float, tol: float) -> float:
     """Locate the flip point of a monotone boolean predicate on [lo, hi].
 
     Uses exactly two endpoint calls plus ceil(log2((hi-lo)/tol)) probes.
+    Raises NoBoundaryError when the endpoints agree.
     """
+    _check_tol(tol)
     if hi <= lo:
         raise ValueError("need lo < hi")
     p_lo = bool(predicate(lo))
     p_hi = bool(predicate(hi))
     if p_lo == p_hi:
-        raise ValueError(
+        raise NoBoundaryError(
             "predicate does not bracket a boundary on [%g, %g]" % (lo, hi)
         )
     steps = max(0, int(math.ceil(math.log2((hi - lo) / tol))))
@@ -393,14 +407,15 @@ def monotone_boundary(predicate, lo: float, hi: float, tol: float,
                       coarse: int = 9) -> float:
     """Coarse-scan a predicate for monotonicity, then bisect its boundary.
 
-    The scan must show exactly one flip; anything else is reported as an
-    error rather than silently bisected.
+    The scan must show exactly one flip; anything else is reported as a
+    NoBoundaryError rather than silently bisected.
     """
+    _check_tol(tol)
     xs = np.linspace(lo, hi, coarse)
     vals = [bool(predicate(x)) for x in xs]
     flips = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
     if len(flips) != 1:
-        raise ValueError(
+        raise NoBoundaryError(
             "predicate is not monotone on [%g, %g] (%d sign changes in the "
             "coarse scan)" % (lo, hi, len(flips))
         )

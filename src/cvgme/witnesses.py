@@ -469,14 +469,6 @@ def witness_d(target, scheme: RandomDisplacementScheme, n_samples: int,
     )
 
 
-def _check_kernel(kernel: families.KernelSpec, modes: int) -> None:
-    if len(kernel.ancillas) != modes - 2:
-        raise ValueError(
-            "kernel lists %d ancillas, need M-2 = %d"
-            % (len(kernel.ancillas), modes - 2)
-        )
-
-
 def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
               family: str | None = None, seed: int | None = None) -> WitnessReport:
     """Kernel-matrix witness: trace norm of C o K against 1.
@@ -486,7 +478,7 @@ def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
     the product of ancilla characteristic functions at the raw differences
     (no 1/N there - only C is normalized).
     """
-    _check_kernel(kernel, modes)
+    kernel.check_modes(modes)
     xi = np.asarray(xi, dtype=complex).ravel()
     mat = build_settings_matrix(
         char_entry_fn, xi, kernel_fn=lambda d: families.kernel_c_entry(kernel, d)
@@ -543,7 +535,26 @@ def settings_objective(entry_fn, kernel_entry_fn=None, escape_slope: float = 30.
     return lambda xi: float(stacked(np.asarray(xi, dtype=complex).ravel()))
 
 
-def _optimized_report(report, budget, optimum) -> WitnessReport:
+def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
+    """Optimize witness B (no kernel) or E (with one) over Xi for a family."""
+    if n_points < 2:
+        raise ValueError("a settings set needs at least 2 points")
+    entry = lambda d: families.family_c_entry(spec, d)
+    kernel_entry = None
+    if kernel is not None:
+        kernel.check_modes(spec.modes)
+        kernel_entry = lambda d: families.kernel_c_entry(kernel, d)
+    if init_radius is None:
+        init_radius = 3.0 / math.sqrt(spec.modes)
+    optimum = numerics.optimize_settings(
+        stacked_settings_objective(entry, kernel_entry), n_points, budget, init_radius
+    )
+    if kernel is None:
+        report = witness_b(entry, optimum.xi, spec.modes, family=spec.label(),
+                           seed=budget.seed)
+    else:
+        report = witness_e(entry, optimum.xi, kernel, spec.modes,
+                           family=spec.label(), seed=budget.seed)
     report.params["restarts"] = budget.restarts
     report.params["max_evals"] = budget.max_evals
     report.params["objective_evals"] = optimum.objective_evals
@@ -555,35 +566,11 @@ def optimize_witness_b(spec: families.FamilySpec, n_points: int,
                        budget: numerics.OptimizerBudget,
                        init_radius: float | None = None) -> WitnessReport:
     """Optimize the settings-matrix witness over Xi for a closed-form family."""
-    if n_points < 2:
-        raise ValueError("a settings set needs at least 2 points")
-    entry = lambda d: families.family_c_entry(spec, d)
-    if init_radius is None:
-        init_radius = 3.0 / math.sqrt(spec.modes)
-    optimum = numerics.optimize_settings(
-        stacked_settings_objective(entry), n_points, budget, init_radius
-    )
-    report = witness_b(entry, optimum.xi, spec.modes, family=spec.label(),
-                       seed=budget.seed)
-    return _optimized_report(report, budget, optimum)
+    return _optimize_settings_witness(spec, None, n_points, budget, init_radius)
 
 
 def optimize_witness_e(spec: families.FamilySpec, kernel: families.KernelSpec,
                        n_points: int, budget: numerics.OptimizerBudget,
                        init_radius: float | None = None) -> WitnessReport:
     """Optimize the kernel-matrix witness over Xi for a closed-form family."""
-    if n_points < 2:
-        raise ValueError("a settings set needs at least 2 points")
-    _check_kernel(kernel, spec.modes)
-    entry = lambda d: families.family_c_entry(spec, d)
-    kernel_entry = lambda d: families.kernel_c_entry(kernel, d)
-    if init_radius is None:
-        init_radius = 3.0 / math.sqrt(spec.modes)
-    optimum = numerics.optimize_settings(
-        stacked_settings_objective(entry, kernel_entry), n_points, budget,
-        init_radius
-    )
-    report = witness_e(
-        entry, optimum.xi, kernel, spec.modes, family=spec.label(), seed=budget.seed
-    )
-    return _optimized_report(report, budget, optimum)
+    return _optimize_settings_witness(spec, kernel, n_points, budget, init_radius)

@@ -93,6 +93,22 @@ def test_list_is_stable_and_complete(capsys):
         assert name in first
 
 
+def test_list_flags_are_the_subparser_options(capsys):
+    assert cli.main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = {name.split()[0]: flags.split("flags:")[1].split()
+              for name, flags in zip(lines[::2], lines[1::2])}
+    subparsers = cli.build_parser().experiments
+    assert list(listed) == list(subparsers) == list(cli.EXPERIMENTS)
+    common = {"-h", "--help", "--seed", "--out", "--threads", "--format", "--gnuplot"}
+    for name, flags in listed.items():
+        own = {opt for opt in subparsers[name]._option_string_actions if opt not in common}
+        want = own | ({"--seed"} if name in cli.STOCHASTIC else set())
+        assert len(flags) == len(set(flags)) and set(flags) == want, name
+    assert listed["rmin-scan"] == ["--m", "--eta-range", "--delta", "--tol",
+                                   "--r-lo", "--r-hi"]
+
+
 # ---------------------------------------------------------------------------
 # artifacts and exit codes
 
@@ -222,3 +238,18 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
     (row,) = payload["rows"]
     assert row["violation"] == pytest.approx(
         row["value"] - row["error"] - row["threshold"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["numint", "--family", "cat:M=3,gamma=nan"], "finite"),
+    (["numint", "--family", "w:M=3.5"], "cannot parse family"),
+    (["settings-cat", "--gamma", "nan", "--restarts", "2", "--seed", "0"], "finite"),
+    (["numint", "--r", "nan"], "radius=nan"),
+    (["wstate-loss", "--m-range", "3..3", "--delta", "0.05", "--tol", "0"], "tolerance"),
+    (["rmin-scan", "--eta-range", "0", "--tol", "0"], "tolerance"),
+    (["mc-witness4", "--family", "cat:M=3,gamma=1", "--shots", "2000", "--seed", "1"],
+     "com_wigner"),
+])
+def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """State-family construction, closed forms, and oracle cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvgme
 from cvgme import families as fam
@@ -44,6 +47,119 @@ def test_parse_family_rejects_unknown():
         fam.parse_family("ghz:M=3")
     with pytest.raises(ValueError):
         fam.parse_family("w:M=3,foo=1")
+
+
+@pytest.mark.parametrize("spec,label", [
+    (fam.w_family(3), "w:M=3"),
+    (fam.w_family(4, eta=0.1), "w:M=4,eta=0.1"),
+    (fam.cat_family(3, 0.9), "cat:M=3,gamma=0.9"),
+    (fam.cat_family(2, 0.5 + 0.4j, eta=0.1), "cat:M=2,gamma=0.5+0.4j,eta=0.1"),
+    (fam.cat_family(3, -0.6 - 0.7j), "cat:M=3,gamma=-0.6-0.7j"),
+    (fam.cat_family(3, 0.5j), "cat:M=3,gamma=0.5j"),
+    (fam.dicke2_family(5), "dicke2:M=5"),
+    (fam.noon3_family(4), "noon3:N=4"),
+    (fam.psi_family("psi2"), "psi2"),
+])
+def test_labels(spec, label):
+    assert spec.label() == label
+    assert fam.parse_family(label) == spec
+
+
+def _hundredths(lo, hi):
+    # multiples of 0.01 print exactly under %g and repr
+    return st.integers(lo, hi).map(lambda k: k / 100)
+
+
+_GAMMAS = st.one_of(
+    _hundredths(-300, 300),
+    st.builds(complex, _hundredths(-300, 300), _hundredths(-300, 300)),
+    st.builds(lambda im: complex(0.0, im), _hundredths(-300, 300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tag=st.sampled_from(sorted(fam.FAMILIES)))
+def test_label_round_trips_through_parse(data, tag):
+    record = fam.FAMILIES[tag]
+    values = {"modes": record.modes}
+    for p in record.params:
+        if p.field == "gamma":
+            values["gamma"] = complex(data.draw(_GAMMAS, label="gamma"))
+        elif p.field == "eta":
+            values["eta"] = data.draw(_hundredths(0, 100), label="eta")
+        else:
+            values[p.field] = data.draw(st.integers(2, 12), label=p.field)
+    spec = fam.FamilySpec(tag, **values)
+    assert fam.parse_family(spec.label()) == spec
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fam.cat_family(3, math.nan),
+    lambda: fam.cat_family(3, complex(0.5, math.inf)),
+    lambda: fam.cat_family(3, complex(math.nan, 0.0), eta=0.1),
+    lambda: fam.w_family(3.5),
+    lambda: fam.w_family(3.0),
+    lambda: fam.w_family(True),
+    lambda: fam.cat_family(np.float64(3), 1.0),
+    lambda: fam.dicke2_family(1),
+    lambda: fam.noon3_family(2.5),
+    lambda: fam.noon3_family(False),
+    lambda: fam.FamilySpec("w", 3, n_photons=2),
+    lambda: fam.FamilySpec("psi1", 4),
+    lambda: fam.parse_family("cat:M=3,gamma=nan"),
+    lambda: fam.parse_family("w:M=3.5"),
+    lambda: fam.parse_family("noon3:N=0"),
+])
+def test_bad_family_inputs_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_numpy_integer_counts_accepted():
+    assert fam.w_family(np.int64(4)) == fam.w_family(4)
+    assert fam.noon3_family(np.int32(2)).label() == "noon3:N=2"
+    assert fam.cat_family(np.int16(2), 0.5).label() == "cat:M=2,gamma=0.5"
+
+
+def _ask(capability, spec):
+    """Call the public function that looks `capability` up in the record."""
+    kernel = fam.vacuum_kernel(spec.modes - 2)
+    return {
+        "fock": lambda: fam.family_fock_expansion(spec),
+        "slice_xy": lambda: fam.family_wigner_slice_xy(spec, 0.1, 0.2),
+        "symmetries": lambda: fam.slice_symmetries(spec),
+        "envelope": lambda: fam.slice_abs_envelope(spec),
+        "c_entry": lambda: fam.family_c_entry(spec, 0.1),
+        "smoothed": lambda: fam.family_smoothed_wigner(spec, kernel, 0.0),
+        "com_wigner": lambda: fam.family_com_wigner(spec, 0.1),
+        "v2d": lambda: fam.v2d_closed_form(spec),
+        "energy": lambda: fam.family_energy(spec),
+    }[capability]()
+
+
+_CAPABILITIES = [f.name for f in dataclasses.fields(fam.FamilyRecord)][3:]
+
+
+@pytest.mark.parametrize("tag,capability", [
+    (tag, cap) for tag in fam.FAMILIES for cap in _CAPABILITIES
+    if getattr(fam.FAMILIES[tag], cap) is None
+])
+def test_missing_capability_raises_one_error(tag, capability):
+    with pytest.raises(ValueError, match="family %r has no %s capability" % (tag, capability)):
+        _ask(capability, fam.parse_family(tag))
+
+
+def test_record_capabilities_are_the_public_lookups():
+    assert _CAPABILITIES == ["fock", "slice_xy", "symmetries", "envelope", "c_entry",
+                             "smoothed", "com_wigner", "v2d", "energy"]
+    for tag in fam.FAMILIES:
+        spec = fam.parse_family(tag)
+        for cap in _CAPABILITIES:
+            if getattr(fam.FAMILIES[tag], cap) is not None:
+                try:
+                    _ask(cap, spec)
+                except ValueError as exc:  # present, but not for this member or kernel
+                    assert "capability" not in str(exc)
 
 
 def test_loss_only_for_w_and_cat():

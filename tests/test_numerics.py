@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,10 @@ def test_grid_validation():
         num.disc_grid(-0.1, 1.0)
     with pytest.raises(ValueError):
         num.disc_grid(0.5, 0.2)
+    for delta, radius in ((0.1, math.nan), (math.inf, 1.0), (math.nan, math.inf)):
+        named = re.escape("delta=%r, radius=%r" % (delta, radius))
+        with pytest.raises(ValueError, match=named):
+            num.disc_grid(delta, radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,10 +312,21 @@ def test_bisect_threshold_step_function():
 
 
 def test_bisect_threshold_requires_bracket():
-    with pytest.raises(ValueError):
+    with pytest.raises(num.NoBoundaryError):
         num.bisect_threshold(lambda x: True, 0.0, 1.0, 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(num.NoBoundaryError):
         num.bisect_threshold(lambda x: False, 0.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("search", [num.bisect_threshold, num.monotone_boundary])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_searches_reject_bad_tolerance(search, tol):
+    def predicate(x):
+        raise AssertionError("the predicate ran before the tolerance was checked")
+
+    with pytest.raises(ValueError, match="tolerance") as exc:
+        search(predicate, 0.0, 1.0, tol)
+    assert not isinstance(exc.value, num.NoBoundaryError)
 
 
 def test_monotone_boundary_step():
@@ -319,7 +335,7 @@ def test_monotone_boundary_step():
 
 
 def test_monotone_boundary_rejects_constant():
-    with pytest.raises(ValueError):
+    with pytest.raises(num.NoBoundaryError):
         num.monotone_boundary(lambda r: True, 0.0, 1.0, 1e-3)
 
 
