@@ -24,8 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import families, numerics, witnesses
-from .fock_core import DimensionError, NullStateError
-from .gaussian_ops import CutoffError, ResourceLimitError
+from .gaussian_ops import ResourceLimitError
 
 #: Fixed six-point settings set used by the kernel scan: a conjugate pair,
 #: its negatives, and the shared real part with its negative.
@@ -700,8 +699,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return run_experiment(args)
-    except (CliError, ValueError, NullStateError, DimensionError,
-            CutoffError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("cvgme: error: %s" % exc, file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -11,12 +11,18 @@ capability, any subset of:
 * ``c_entry`` - a characteristic/hybrid-expectation entry used by the
   settings-matrix witnesses,
 * ``smoothed``, ``com_wigner`` - the smoothed (centre-of-mass,
-  kernel-convolved) and the centre-of-mass Wigner function,
+  kernel-convolved) Wigner function, tabulated by kernel, and the
+  centre-of-mass Wigner function,
 * ``v2d``, ``energy`` - a closed-form absolute slice volume, the mean
   total photon number.
 
 A missing capability is None; the public lookups at the end raise one
 ValueError, naming the family and the capability, when asked for it.
+
+The ancillas of witnesses C and E are a `KernelSpec`: one tuple per mode,
+such as ('fock', 1), whose kind is an `AncillaKind` record in `ANCILLAS`
+(parameter check, characteristic function, truncated-Fock state).  Smoothed
+forms exist for uniform kernels only: all ancillas vacuum, or all fock(1).
 
 The closed forms are the production path; the Fock expansion exists so that
 tests can check every formula against an independent brute-force evaluation.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property, partial, reduce
 from itertools import permutations
@@ -42,6 +49,7 @@ from .fock_core import (
     PureState,
     check_dense_size,
     coherent_state,
+    fock_state,
     normalize,
     vacuum,
 )
@@ -134,7 +142,9 @@ class FamilyRecord:
 
     `modes` is the fixed mode count of a family without an ``M`` parameter.
     Each capability (see the module docstring) is a function of the
-    `FamilySpec` first, or None when the family lacks it.
+    `FamilySpec` first, or None when the family lacks it; `smoothed` maps the
+    one ancilla that every ancilla of a kernel is to such a function of
+    (spec, alpha, |alpha|^2).
     """
 
     tag: str
@@ -145,7 +155,7 @@ class FamilyRecord:
     symmetries: Callable | None = None
     envelope: Callable | None = None
     c_entry: Callable | None = None
-    smoothed: Callable | None = None
+    smoothed: dict | None = None
     com_wigner: Callable | None = None
     v2d: Callable | None = None
     energy: Callable | None = None
@@ -241,12 +251,55 @@ def parse_family(text: str) -> FamilySpec:
 
 
 @dataclass(frozen=True)
+class AncillaKind:
+    """What one kind of ancilla mode is.
+
+    Its parameter must pass `valid` (None: the kind takes none), or the
+    kernel is rejected with the message `rule`; `store(*params)` is the
+    ancilla tuple kept.  `chi(out, xi, u, *params)` is `out` times the
+    characteristic function at xi, with u = |xi|^2, and `fock(cutoff,
+    *params)` the single-mode state at a cutoff of at least `cutoff` (None:
+    the kind has no truncated-Fock form).
+    """
+
+    name: str
+    valid: Callable | None
+    rule: str
+    store: Callable
+    chi: Callable
+    fock: Callable | None = None
+
+
+# the ancillas that key the smoothed tables (see FamilyRecord)
+_VACUUM = ("vacuum",)
+_FOCK1 = ("fock", 1)
+
+# the record table: one entry per ancilla kind
+ANCILLAS = {kind.name: kind for kind in (
+    AncillaKind("vacuum", None, "takes no parameter", lambda: _VACUUM,
+                lambda out, xi, u: out * np.exp(-0.5 * u), lambda cutoff: vacuum(1, cutoff)),
+    AncillaKind("fock", lambda n: _is_int(n) and n >= 0,
+                "the Fock index must be an integer >= 0",
+                lambda n: ("fock", int(n)) if n else _VACUUM,  # |0> is the vacuum
+                lambda out, xi, u, n: out * np.exp(-0.5 * u) * eval_genlaguerre(n, 0, u),
+                lambda cutoff, n: fock_state((n,), max(cutoff, n))),
+    AncillaKind("squeezed", lambda s: (isinstance(s, numbers.Real) and not isinstance(s, bool)
+                                       and 0.0 < s < math.inf),
+                "the squeezing must be finite and positive", lambda s: ("squeezed", float(s)),
+                lambda out, xi, u, s: out * np.exp(-0.5 * (s * xi.real) ** 2
+                                                   - 0.5 * (xi.imag / s) ** 2)),
+)}
+
+
+@dataclass(frozen=True)
 class KernelSpec:
     """Ancilla states whose characteristic functions build the kernel matrix.
 
     `ancillas` is a tuple with one entry per auxiliary mode, each of the form
-    ('vacuum',), ('fock', n) or ('squeezed', s).  For an M-mode system the
-    witness that consumes this expects exactly M-2 entries.
+    ('vacuum',), ('fock', n) or ('squeezed', s) and checked at construction
+    by its kind's record in `ANCILLAS`; ('fock', 0) is stored as ('vacuum',).
+    For an M-mode system the witness that consumes this expects exactly M-2
+    entries.
     """
 
     ancillas: tuple
@@ -254,28 +307,20 @@ class KernelSpec:
     def __post_init__(self):
         checked = []
         for anc in self.ancillas:
-            kind = anc[0]
-            if kind == "vacuum":
-                checked.append(("vacuum",))
-            elif kind == "fock":
-                n = int(anc[1])
-                if n < 0:
-                    raise ValueError("negative Fock index in kernel")
-                checked.append(("fock", n))
-            elif kind == "squeezed":
-                s = float(anc[1])
-                if s <= 0:
-                    raise ValueError("squeezing parameter must be positive")
-                checked.append(("squeezed", s))
-            else:
-                raise ValueError("unknown ancilla kind %r" % (kind,))
+            name = anc[0] if isinstance(anc, tuple) and anc else None
+            kind = ANCILLAS.get(name) if isinstance(name, str) else None
+            if kind is None:
+                raise ValueError("ancilla %r is not a tuple (kind, *params) of a known "
+                                 "kind; the kinds are %s" % (anc, ", ".join(ANCILLAS)))
+            params = anc[1:]
+            arity = 0 if kind.valid is None else 1
+            if len(params) != arity or arity and not kind.valid(*params):
+                raise ValueError("%s ancilla: %s, got %r" % (kind.name, kind.rule, anc))
+            checked.append(kind.store(*params))
         object.__setattr__(self, "ancillas", tuple(checked))
 
     def label(self) -> str:
-        return "+".join(
-            a[0] if a[0] == "vacuum" else "%s(%g)" % (a[0], a[1])
-            for a in self.ancillas
-        )
+        return "+".join("%s(%g)" % anc if len(anc) > 1 else anc[0] for anc in self.ancillas)
 
     def check_modes(self, modes: int) -> None:
         """Raise ValueError unless there are M-2 ancillas for an M-mode system."""
@@ -284,6 +329,14 @@ class KernelSpec:
                 "kernel lists %d ancillas, need M-2 = %d"
                 % (len(self.ancillas), modes - 2)
             )
+
+    def fock_states(self, cutoff: int) -> list:
+        """The ancillas as single-mode states at cutoffs >= `cutoff`; squeezed ones raise."""
+        for name, *_ in self.ancillas:
+            if ANCILLAS[name].fock is None:
+                raise ValueError("%s ancillas have no truncated-Fock oracle; they are "
+                                 "supported by the kernel-matrix witness only" % name)
+        return [ANCILLAS[name].fock(cutoff, *params) for name, *params in self.ancillas]
 
 
 def vacuum_kernel(count: int) -> KernelSpec:
@@ -303,33 +356,21 @@ def kernel_c_entry(kernel: KernelSpec, xi):
     xi = np.asarray(xi, dtype=complex)
     u = np.abs(xi) ** 2
     out = np.ones_like(u)
-    for anc in kernel.ancillas:
-        if anc[0] == "vacuum":
-            out = out * np.exp(-0.5 * u)
-        elif anc[0] == "fock":
-            out = out * np.exp(-0.5 * u) * eval_genlaguerre(anc[1], 0, u)
-        else:  # squeezed
-            s = anc[1]
-            out = out * np.exp(
-                -0.5 * (s * xi.real) ** 2 - 0.5 * (xi.imag / s) ** 2
-            )
+    for name, *params in kernel.ancillas:
+        out = ANCILLAS[name].chi(out, xi, u, *params)
     return _scalar(out)
-
-
-def _kernel_is_all(kernel: KernelSpec, kind: str, n: int | None = None) -> bool:
-    for anc in kernel.ancillas:
-        if kind == "vacuum":
-            if anc == ("vacuum",) or anc == ("fock", 0):
-                continue
-            return False
-        if anc[0] != kind or (n is not None and anc[1] != n):
-            return False
-    return True
 
 
 def _scalar(out):
     """A 0-d result as a float; any other array as it is."""
     return float(out) if out.ndim == 0 else out
+
+
+def _untabulated(spec, where) -> ValueError:
+    return ValueError(
+        "no tabulated smoothed form for family %r %s; "
+        "use the brute-force witness evaluator" % (spec.tag, where)
+    )
 
 
 def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
@@ -381,16 +422,14 @@ def _single_occupations(modes: int, n: int):
 class _Plane:
     """Slice points alpha = x + iy, for real x, y that broadcast.
 
-    When x and y differ in shape (a lattice: x a column, y a row), every
-    exponential and trigonometric factor is split into an x part times a y
-    part, so the transcendental work is O(rows + columns) and the plane is
-    filled by products alone.
+    Every exponential and trigonometric factor is split into an x part times
+    a y part, so on a lattice (x a column, y a row) the transcendental work
+    is O(rows + columns) and the plane is filled by products alone.
     """
 
     def __init__(self, x, y):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.split = self.x.shape != self.y.shape
 
     @cached_property
     def u(self):
@@ -399,18 +438,11 @@ class _Plane:
 
     def gauss(self, c, x0=0.0, y0=0.0):
         """exp(-c |alpha - (x0 + i y0)|^2)"""
-        x, y = self.x, self.y
-        if self.split:
-            return np.exp(-c * (x - x0) ** 2) * np.exp(-c * (y - y0) ** 2)
-        if x0 == 0.0 and y0 == 0.0:
-            return np.exp(-c * self.u)
-        return np.exp(-c * ((x - x0) ** 2 + (y - y0) ** 2))
+        return np.exp(-c * (self.x - x0) ** 2) * np.exp(-c * (self.y - y0) ** 2)
 
     def cos_diff(self, a, b):
         """cos(a - b) for a on the y axis and b on the x axis"""
-        if self.split:
-            return np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b)
-        return np.cos(a - b)
+        return np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b)
 
 
 def _even(spec) -> dict:
@@ -450,9 +482,7 @@ def _w_c_entry(spec, xi):
     return np.exp(-0.5 * m * u) * (1.0 - m * (1.0 - spec.eta) * u)
 
 
-def _w_smoothed(spec, kernel, alpha, u):
-    if not _kernel_is_all(kernel, "vacuum"):
-        return None
+def _w_smoothed(spec, alpha, u):
     m = spec.modes
     return (
         (2.0 / (math.pi * (m - 1)))
@@ -596,15 +626,10 @@ def _dicke2_envelope(spec):
     return env
 
 
-def _dicke2_smoothed(spec, kernel, alpha, u):
+def _dicke2_smoothed(denominator, poly, spec, alpha, u):
     if spec.modes != 3:
-        return None
-    if _kernel_is_all(kernel, "fock", 1):
-        return (np.exp(-1.5 * u) / (32.0 * math.pi)
-                * (81.0 * u**3 - 234.0 * u**2 + 216.0 * u - 16.0))
-    if _kernel_is_all(kernel, "vacuum"):
-        return np.exp(-1.5 * u) / (24.0 * math.pi) * (8.0 + (9.0 * u - 4.0) ** 2)
-    return None
+        raise _untabulated(spec, "at M = %d" % spec.modes)
+    return np.exp(-1.5 * u) / (denominator * math.pi) * poly(u)
 
 
 def _dicke2_v2d(spec) -> float:
@@ -625,17 +650,14 @@ def _noon3_fock(spec, cutoff):
     )
 
 
-def _noon3_smoothed(spec, kernel, alpha, u):
-    if np.any(alpha != 0):
-        raise ValueError("N00N smoothed forms are tabulated at the origin only")
+def _noon3_vacuum_at_origin(spec) -> float:
     n = spec.n_photons
-    if _kernel_is_all(kernel, "vacuum"):
-        val = (-1.0) ** n * (2.0 + (-1.0) ** n) / (2.0 ** (n - 1) * math.pi)
-    elif _kernel_is_all(kernel, "fock", 1):
-        val = -(2.0 * (-1.0) ** n * (n - 1) - (n + 1)) / (2.0**n * math.pi)
-    else:
-        return None
-    return np.full_like(u, val)
+    return (-1.0) ** n * (2.0 + (-1.0) ** n) / (2.0 ** (n - 1) * math.pi)
+
+
+def _noon3_fock1_at_origin(spec) -> float:
+    n = spec.n_photons
+    return -(2.0 * (-1.0) ** n * (n - 1) - (n + 1)) / (2.0**n * math.pi)
 
 
 # psi1, psi2: three-mode asymmetric superpositions (amplitude tables above)
@@ -682,9 +704,7 @@ def _psi1_envelope(spec):
     return env
 
 
-def _psi1_smoothed(spec, kernel, alpha, u):
-    if not _kernel_is_all(kernel, "vacuum"):
-        return None
+def _psi1_smoothed(spec, alpha, u):
     return (
         np.exp(-1.5 * u)
         / (1024.0 * math.pi)
@@ -715,9 +735,7 @@ def _psi2_envelope(spec):
     return env
 
 
-def _psi2_smoothed(spec, kernel, alpha, u):
-    if not _kernel_is_all(kernel, "vacuum"):
-        return None
+def _psi2_smoothed(spec, alpha, u):
     return np.exp(-1.5 * u) / (64.0 * math.pi) * (243.0 * u**2 - 144.0 * u + 8.0)
 
 
@@ -731,15 +749,13 @@ def _orbits_fock(orbits, spec, cutoff):
     return _table_state(spec.modes, table, cutoff)
 
 
-def _origin_smoothed(value, spec, kernel, alpha, u):
-    # tabulated for single-photon ancillas at the origin
-    if not _kernel_is_all(kernel, "fock", 1):
-        return None
+def _origin_smoothed(value, spec, alpha, u):
+    # value(spec) is the form at the origin, the only point it is tabulated at
     if np.any(alpha != 0):
         raise ValueError(
             "smoothed form for %s is tabulated at the origin only" % spec.tag
         )
-    return np.full_like(u, value)
+    return np.full_like(u, value(spec))
 
 
 # the record table: one entry per family tag
@@ -747,7 +763,7 @@ FAMILIES = {record.tag: record for record in (
     FamilyRecord(
         "w", (_count("M", "modes", "mode count", 1), _ETA),
         fock=_w_fock, slice_xy=_w_slice, symmetries=_even, envelope=_w_envelope,
-        c_entry=_w_c_entry, smoothed=_w_smoothed, com_wigner=_w_com_wigner,
+        c_entry=_w_c_entry, smoothed={_VACUUM: _w_smoothed}, com_wigner=_w_com_wigner,
         v2d=_w_v2d, energy=lambda spec: 1.0 - spec.eta),
     FamilyRecord(
         "cat", (_count("M", "modes", "mode count", 1), _GAMMA, _ETA),
@@ -756,27 +772,32 @@ FAMILIES = {record.tag: record for record in (
     FamilyRecord(
         "dicke2", (_count("M", "modes", "mode count", 2),),
         fock=_dicke2_fock, slice_xy=_dicke2_slice, symmetries=_even,
-        envelope=_dicke2_envelope, smoothed=_dicke2_smoothed, v2d=_dicke2_v2d,
-        energy=lambda spec: 2.0),
+        envelope=_dicke2_envelope, v2d=_dicke2_v2d, energy=lambda spec: 2.0,
+        smoothed={
+            _FOCK1: partial(_dicke2_smoothed, 32.0,
+                            lambda u: 81.0 * u**3 - 234.0 * u**2 + 216.0 * u - 16.0),
+            _VACUUM: partial(_dicke2_smoothed, 24.0,
+                             lambda u: 8.0 + (9.0 * u - 4.0) ** 2)}),
     FamilyRecord(
         "noon3", (_count("N", "n_photons", "photon number", 1),), modes=3,
-        fock=_noon3_fock, smoothed=_noon3_smoothed,
-        energy=lambda spec: float(spec.n_photons)),
+        fock=_noon3_fock, energy=lambda spec: float(spec.n_photons),
+        smoothed={_VACUUM: partial(_origin_smoothed, _noon3_vacuum_at_origin),
+                  _FOCK1: partial(_origin_smoothed, _noon3_fock1_at_origin)}),
     FamilyRecord(
         "psi1", modes=3, fock=partial(_amps_fock, _PSI1_AMPS), slice_xy=_psi1_slice,
         symmetries=_psi1_symmetries, envelope=_psi1_envelope,
-        smoothed=_psi1_smoothed, energy=_psi1_energy),
+        smoothed={_VACUUM: _psi1_smoothed}, energy=_psi1_energy),
     FamilyRecord(
         "psi2", modes=3, fock=partial(_amps_fock, _PSI2_AMPS), slice_xy=_psi2_slice,
-        symmetries=_even, envelope=_psi2_envelope, smoothed=_psi2_smoothed,
+        symmetries=_even, envelope=_psi2_envelope, smoothed={_VACUUM: _psi2_smoothed},
         energy=lambda spec: 2.0 * 0.75 + 3.0 * 0.25),
     FamilyRecord(
         "psi4", modes=4, fock=partial(_orbits_fock, ((2, 1, 0, 0), (1, 1, 1, 0))),
-        smoothed=partial(_origin_smoothed, PSI4_SMOOTHED_AT_ORIGIN),
+        smoothed={_FOCK1: partial(_origin_smoothed, lambda spec: PSI4_SMOOTHED_AT_ORIGIN)},
         energy=lambda spec: 3.0),
     FamilyRecord(
         "psi5", modes=5, fock=partial(_orbits_fock, ((2, 1, 1, 0, 0), (1, 1, 1, 1, 0))),
-        smoothed=partial(_origin_smoothed, PSI5_SMOOTHED_AT_ORIGIN),
+        smoothed={_FOCK1: partial(_origin_smoothed, lambda spec: PSI5_SMOOTHED_AT_ORIGIN)},
         energy=lambda spec: 4.0),
 )}
 
@@ -855,19 +876,19 @@ def family_c_entry(spec: FamilySpec, xi):
 def family_smoothed_wigner(spec: FamilySpec, kernel: KernelSpec, alpha):
     """Tabulated closed forms of the kernel-smoothed centre-of-mass Wigner.
 
-    Raises ValueError for pairs without a closed form; the brute-force
-    witness evaluator covers those (at small sizes).
+    The family's `smoothed` table is looked up by the one ancilla that every
+    ancilla of `kernel` is.  Raises ValueError for pairs without a closed
+    form (a mixed kernel, an untabulated ancilla, dicke2 at M != 3); the
+    brute-force witness evaluator covers those (at small sizes).
     """
-    smoothed = _capability(spec, "smoothed")
+    table = _capability(spec, "smoothed")
     kernel.check_modes(spec.modes)
+    alike = set(kernel.ancillas) or {_VACUUM}  # no ancillas count as all vacuum
+    smoothed = table.get(alike.pop()) if len(alike) == 1 else None
+    if smoothed is None:
+        raise _untabulated(spec, "with kernel %s" % kernel.label())
     alpha = np.asarray(alpha, dtype=complex)
-    out = smoothed(spec, kernel, alpha, np.abs(alpha) ** 2)
-    if out is None:
-        raise ValueError(
-            "no tabulated smoothed form for family %r with kernel %s; "
-            "use the brute-force witness evaluator" % (spec.tag, kernel.label())
-        )
-    return _scalar(out)
+    return _scalar(smoothed(spec, alpha, np.abs(alpha) ** 2))
 
 
 def family_com_wigner(spec: FamilySpec, beta):

@@ -16,7 +16,7 @@ Scheme summary (M system modes throughout):
 * ``witness_b`` - trace norm of the N x N Hermitian matrix of multiport
   parity-displacement expectations, against M/(2 sqrt(M-1)).
 * ``witness_c`` - parity of the collective centre-of-mass mode of the system
-  plus M-2 ancilla modes; negative expectation certifies.
+  plus M-2 ancilla modes (a KernelSpec); negative expectation certifies.
 * ``witness_d`` - Monte-Carlo estimate of the same collective parity under
   randomly displaced shots; sign-based verdict (mean + 3 stderr < 0).
 * ``witness_e`` - trace norm of the Hadamard product of a characteristic
@@ -37,9 +37,7 @@ from .fock_core import (
     ResourceLimitError,
     as_ensemble,
     check_dense_size,
-    fock_state,
     tensor,
-    vacuum,
 )
 from .gaussian_ops import displacement_matrix
 
@@ -49,19 +47,26 @@ from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # n
 GUARD = 1e-12
 
 
+def _root_m_minus_1(modes: int) -> float:
+    """sqrt(M-1), the scale of the GME bounds, which need M >= 2 modes."""
+    if not modes >= 2:
+        raise ValueError("a GME threshold needs at least 2 modes, got M = %r" % (modes,))
+    return math.sqrt(modes - 1.0)
+
+
 def slice_integral_threshold(modes: int) -> float:
     """Certification bound for the absolute displaced-parity integral."""
-    return math.pi / (4.0 * math.sqrt(modes - 1.0))
+    return math.pi / (4.0 * _root_m_minus_1(modes))
 
 
 def volume_threshold(modes: int) -> float:
     """The same bound expressed as an absolute Wigner slice volume."""
-    return 1.0 / (2.0 * math.sqrt(modes - 1.0))
+    return 1.0 / (2.0 * _root_m_minus_1(modes))
 
 
 def settings_threshold(modes: int) -> float:
     """Trace-norm bound for the settings-matrix witness."""
-    return modes / (2.0 * math.sqrt(modes - 1.0))
+    return modes / (2.0 * _root_m_minus_1(modes))
 
 
 @dataclass
@@ -239,6 +244,33 @@ def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
     return report
 
 
+def _settings_witness(entry_fn, xi, modes: int, kernel, family, seed) -> WitnessReport:
+    """Witness B (no kernel) or E: the trace norm of the normalized settings
+    matrix of `entry_fn` on xi, for E multiplied entrywise by the kernel
+    matrix, against M/(2 sqrt(M-1)) for B and 1 for E."""
+    xi = np.asarray(xi, dtype=complex).ravel()
+    params = {"modes": modes, "n_points": int(xi.size)}
+    if kernel is None:
+        witness, threshold, kernel_fn = "B", settings_threshold(modes), None
+    else:
+        kernel.check_modes(modes)
+        witness, threshold = "E", 1.0
+        kernel_fn = lambda d: families.kernel_c_entry(kernel, d)
+        params["kernel"] = kernel.label()
+    value = trace_norm_hermitian(build_settings_matrix(entry_fn, xi, kernel_fn=kernel_fn))
+    return WitnessReport(
+        witness=witness,
+        value=value,
+        threshold=threshold,
+        certified=value > threshold + GUARD,
+        family=family,
+        params=params,
+        n_settings=distinct_settings(xi),
+        seed=seed,
+        xi_points=[[float(p.real), float(p.imag)] for p in xi],
+    )
+
+
 def witness_b(entry_fn, xi, modes: int, family: str | None = None,
               seed: int | None = None) -> WitnessReport:
     """Settings-matrix witness from multiport parity-displacement data.
@@ -246,21 +278,7 @@ def witness_b(entry_fn, xi, modes: int, family: str | None = None,
     `entry_fn(xi)` must return the expectation of the negative multiport
     parity combined with the equal displacement of every mode by `xi`.
     """
-    xi = np.asarray(xi, dtype=complex).ravel()
-    mat = build_settings_matrix(entry_fn, xi, normalized=True)
-    value = trace_norm_hermitian(mat)
-    threshold = settings_threshold(modes)
-    return WitnessReport(
-        witness="B",
-        value=value,
-        threshold=threshold,
-        certified=value > threshold + GUARD,
-        family=family,
-        params={"modes": modes, "n_points": int(xi.size)},
-        n_settings=distinct_settings(xi),
-        seed=seed,
-        xi_points=[[float(p.real), float(p.imag)] for p in xi],
-    )
+    return _settings_witness(entry_fn, xi, modes, None, family, seed)
 
 
 def _lower_com(psi: np.ndarray) -> np.ndarray:
@@ -310,42 +328,22 @@ def _displaced_parity_from_dm(rho: np.ndarray, beta: complex) -> float:
     return float(np.sum(rho * sign[:, None] * disp.T).real)
 
 
-def _ancilla_states(ancillas, cutoff: int):
-    """Coerce ancilla descriptions to single-mode PureStates."""
-    if isinstance(ancillas, families.KernelSpec):
-        out = []
-        for anc in ancillas.ancillas:
-            if anc[0] == "vacuum":
-                out.append(vacuum(1, cutoff))
-            elif anc[0] == "fock":
-                out.append(fock_state((anc[1],), max(cutoff, anc[1])))
-            else:
-                raise ValueError(
-                    "squeezed ancillas have no truncated-Fock oracle; they are "
-                    "supported by the kernel-matrix witness only"
-                )
-        return out
-    return [st.with_cutoff(max(cutoff, st.cutoff)) for st in ancillas]
-
-
-def witness_c(state, ancillas, alpha: complex = 0.0,
+def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
               family: str | None = None, max_photons: int = 8) -> WitnessReport:
     """Collective-parity witness on the system plus M-2 ancilla modes.
 
-    `state` is an M-mode Pure/MixedState, `ancillas` a KernelSpec (vacuum or
-    Fock entries) or a list of M-2 single-mode PureStates.  The value is the
-    expectation of the displaced parity of the centre-of-mass mode over all
-    2M-2 modes; a negative value certifies.
+    `state` is an M-mode Pure/MixedState and `kernel` the M-2 ancillas,
+    which must have truncated-Fock states (vacuum or Fock entries; a
+    squeezed ancilla raises ValueError).  The value is the expectation of
+    the displaced parity of the centre-of-mass mode over all 2M-2 modes; a
+    negative value certifies.
     """
     modes = state.modes
     if modes < 3:
         raise ValueError("collective-parity witness needs at least 3 modes")
+    kernel.check_modes(modes)
     cutoff = state.cutoff
-    anc = _ancilla_states(ancillas, cutoff)
-    if len(anc) != modes - 2:
-        raise ValueError(
-            "expected %d ancilla modes, got %d" % (modes - 2, len(anc))
-        )
+    anc = kernel.fock_states(cutoff)
     total_modes = 2 * modes - 2
     beta = complex(alpha) * math.sqrt(modes / (2.0 * modes - 2.0))
 
@@ -478,27 +476,7 @@ def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
     the product of ancilla characteristic functions at the raw differences
     (no 1/N there - only C is normalized).
     """
-    kernel.check_modes(modes)
-    xi = np.asarray(xi, dtype=complex).ravel()
-    mat = build_settings_matrix(
-        char_entry_fn, xi, kernel_fn=lambda d: families.kernel_c_entry(kernel, d)
-    )
-    value = trace_norm_hermitian(mat)
-    return WitnessReport(
-        witness="E",
-        value=value,
-        threshold=1.0,
-        certified=value > 1.0 + GUARD,
-        family=family,
-        params={
-            "modes": modes,
-            "n_points": int(xi.size),
-            "kernel": kernel.label(),
-        },
-        n_settings=distinct_settings(xi),
-        seed=seed,
-        xi_points=[[float(p.real), float(p.imag)] for p in xi],
-    )
+    return _settings_witness(char_entry_fn, xi, modes, kernel, family, seed)
 
 
 def stacked_settings_objective(entry_fn, kernel_entry_fn=None,
@@ -549,12 +527,8 @@ def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
     optimum = numerics.optimize_settings(
         stacked_settings_objective(entry, kernel_entry), n_points, budget, init_radius
     )
-    if kernel is None:
-        report = witness_b(entry, optimum.xi, spec.modes, family=spec.label(),
-                           seed=budget.seed)
-    else:
-        report = witness_e(entry, optimum.xi, kernel, spec.modes,
-                           family=spec.label(), seed=budget.seed)
+    report = _settings_witness(entry, optimum.xi, spec.modes, kernel, spec.label(),
+                               budget.seed)
     report.params["restarts"] = budget.restarts
     report.params["max_evals"] = budget.max_evals
     report.params["objective_evals"] = optimum.objective_evals

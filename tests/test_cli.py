@@ -113,6 +113,37 @@ def test_list_flags_are_the_subparser_options(capsys):
 # artifacts and exit codes
 
 
+#: Reduced flags for every experiment: coarse grids, one or two sweep points
+#: and a few optimizer restarts.
+_SMOKE_FLAGS = {
+    "wstate-violation": ["--m-range", "3..4"],
+    "cat-violation": ["--gamma-range", "0.8:1.0:0.2", "--delta", "0.05"],
+    "dicke-violation": ["--m-range", "3..4"],
+    "asym-volumes": ["--delta", "0.05"],
+    "wstate-loss": ["--m-range", "3..3", "--delta", "0.05", "--tol", "0.02"],
+    "cat-loss": ["--gamma-range", "0.8", "--delta", "0.05", "--tol", "0.02"],
+    "rmin-scan": ["--eta-range", "0:0.1:0.1", "--delta", "0.05", "--tol", "0.1"],
+    "numint": ["--family", "cat:M=3,gamma=0.8", "--delta", "0.05", "--r", "2"],
+    "settings-w": ["--restarts", "2", "--max-evals", "200", "--seed", "0"],
+    "settings-cat": ["--restarts", "2", "--max-evals", "200", "--seed", "0"],
+    "zeta-scan": ["--zeta-range", "0.3", "--restarts", "2", "--max-evals", "200",
+                  "--seed", "0"],
+    "kernel-scan": ["--s-range", "0.5:0.7:0.1"],
+    "mc-witness4": ["--shots", "2000", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+def test_every_experiment_writes_its_csv_and_json(tmp_path, name):
+    code = cli.main([name, *_SMOKE_FLAGS[name], "--out", str(tmp_path)])
+    assert code in (0, 2)
+    lines = (tmp_path / (name + ".csv")).read_text(encoding="ascii").splitlines()
+    payload = json.loads((tmp_path / (name + ".json")).read_text())
+    assert payload["experiment"] == name
+    assert len(lines) == len(payload["rows"]) + 1 >= 2
+    assert payload["certified_any"] == (code == 0)
+
+
 def test_wstate_violation_writes_artifacts(tmp_path):
     out = str(tmp_path)
     code = cli.main(["wstate-violation", "--out", out])
@@ -249,6 +280,11 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
     (["rmin-scan", "--eta-range", "0", "--tol", "0"], "tolerance"),
     (["mc-witness4", "--family", "cat:M=3,gamma=1", "--shots", "2000", "--seed", "1"],
      "com_wigner"),
+    (["wstate-violation", "--m-range", "1..2"], "at least 2 modes, got M = 1"),
+    (["cat-violation", "--m-range", "1..1", "--gamma-range", "0.5"], "got M = 1"),
+    (["settings-w", "--m", "1", "--restarts", "2", "--max-evals", "50", "--seed", "0"],
+     "got M = 1"),
+    (["kernel-scan", "--s-range", "nan"], "finite and positive"),
 ])
 def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1

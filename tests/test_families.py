@@ -378,6 +378,8 @@ def test_kernel_entries():
 
 
 def test_fock0_kernel_is_vacuum():
+    assert fam.fock_kernel(2, 0) == fam.vacuum_kernel(2)
+    assert fam.fock_kernel(2, 0).label() == "vacuum+vacuum"
     xi = random_points(5, 1.2)
     np.testing.assert_allclose(
         fam.kernel_c_entry(fam.fock_kernel(2, 0), xi),
@@ -389,6 +391,43 @@ def test_fock0_kernel_is_vacuum():
 def test_squeezed_kernel_rejects_nonpositive():
     with pytest.raises(ValueError):
         fam.squeezed_kernel(1, 0.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: fam.fock_kernel(1, 1.5), "Fock index"),
+    (lambda: fam.fock_kernel(1, True), "Fock index"),
+    (lambda: fam.fock_kernel(1, -1), "Fock index"),
+    (lambda: fam.squeezed_kernel(1, float("nan")), "squeezing"),
+    (lambda: fam.squeezed_kernel(1, float("inf")), "squeezing"),
+    (lambda: fam.squeezed_kernel(1, True), "squeezing"),
+    (lambda: fam.KernelSpec((("fock",),)), "Fock index"),
+    (lambda: fam.KernelSpec((("vacuum", 3),)), "no parameter"),
+    (lambda: fam.KernelSpec((("thermal", 0.5),)), "known kind"),
+    (lambda: fam.KernelSpec(((),)), "known kind"),
+    (lambda: fam.KernelSpec(("vacuum",)), "known kind"),
+    (lambda: fam.KernelSpec(((["fock"], 1),)), "known kind"),
+])
+def test_kernel_rejects_bad_ancillas(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_kernel_takes_numpy_parameters():
+    assert fam.fock_kernel(np.int64(2), np.int32(3)) == fam.fock_kernel(2, 3)
+    assert fam.squeezed_kernel(1, np.float32(0.5)) == fam.squeezed_kernel(1, 0.5)
+    assert fam.squeezed_kernel(1, np.int64(2)).label() == "squeezed(2)"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-1, 6), cutoff=st.integers(0, 4),
+       r=st.floats(0.0, 3.0), theta=st.floats(0.0, 2 * math.pi))
+def test_kernel_entry_is_the_ancilla_characteristic_function(n, cutoff, r, theta):
+    kernel = fam.vacuum_kernel(1) if n < 0 else fam.fock_kernel(1, n)
+    (state,) = kernel.fock_states(cutoff)
+    assert state.cutoff >= cutoff
+    xi = r * complex(math.cos(theta), math.sin(theta))
+    assert fam.kernel_c_entry(kernel, xi) == pytest.approx(
+        ps.characteristic_point(state, [xi]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +518,13 @@ def test_smoothed_noon_vacuum_closed_form():
 def test_smoothed_unsupported_combination():
     with pytest.raises(ValueError):
         fam.family_smoothed_wigner(fam.w_family(3), fam.fock_kernel(1, 2), 0.0)
+    untabulated = "no tabulated smoothed form .* use the brute-force witness evaluator"
+    mixed = fam.KernelSpec((("vacuum",), ("fock", 1)))
+    with pytest.raises(ValueError, match=untabulated):
+        fam.family_smoothed_wigner(fam.psi_family("psi4"), mixed, 0.0)
+    for kernel in (fam.vacuum_kernel(2), fam.fock_kernel(2, 1)):
+        with pytest.raises(ValueError, match=untabulated):
+            fam.family_smoothed_wigner(fam.dicke2_family(4), kernel, 0.0)
 
 
 def test_psi_constants_match_tables():

@@ -6,6 +6,7 @@ collective-parity scheme is pinned to hand-derived rational anchors.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,14 @@ def test_thresholds_scale_with_mode_count():
     assert wit.slice_integral_threshold(5) == pytest.approx(math.pi / 8.0)
     assert wit.volume_threshold(5) == pytest.approx(0.25)
     assert wit.settings_threshold(3) == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("threshold", [
+    wit.slice_integral_threshold, wit.volume_threshold, wit.settings_threshold])
+@pytest.mark.parametrize("modes", [1, 0, -2])
+def test_thresholds_need_two_modes(threshold, modes):
+    with pytest.raises(ValueError, match="at least 2 modes, got M = %d" % modes):
+        threshold(modes)
     # the two integral forms differ by the fixed 2/pi volume conversion
     for m in range(2, 9):
         ratio = wit.volume_threshold(m) / wit.slice_integral_threshold(m)
@@ -355,12 +364,51 @@ def test_witness_c_matches_smoothed_closed_form():
         assert rep.value == pytest.approx(closed, abs=1e-10), spec.label()
 
 
+#: One member of each family for the smoothed-form table test; a family not
+#: listed is taken at its default parameters.
+_SMOOTHED_MEMBERS = {"w": "w:M=4,eta=0.2", "cat": "cat:M=3,gamma=0.6", "noon3": "noon3:N=3"}
+
+#: The uniform kernels with a tabulated smoothed form, per family.
+_TABULATED = {("w", "vacuum"), ("dicke2", "vacuum"), ("dicke2", "fock1"),
+              ("noon3", "vacuum"), ("noon3", "fock1"), ("psi1", "vacuum"),
+              ("psi2", "vacuum"), ("psi4", "fock1"), ("psi5", "fock1")}
+
+_KERNELS = {
+    "vacuum": fam.vacuum_kernel,
+    "fock1": lambda count: fam.fock_kernel(count, 1),
+    "squeezed": lambda count: fam.squeezed_kernel(count, 0.7),
+    # a single ancilla is never mixed: for M = 3 this is fock1
+    "mixed": lambda count: fam.KernelSpec((("fock", 1),) + (("vacuum",),) * (count - 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KERNELS))
+@pytest.mark.parametrize("tag", list(fam.FAMILIES))
+def test_smoothed_form_matches_the_oracle_or_raises(tag, kind):
+    spec = fam.parse_family(_SMOOTHED_MEMBERS.get(tag, tag))
+    kernel = _KERNELS[kind](spec.modes - 2)
+    uniform_kind = "fock1" if kind == "mixed" and spec.modes == 3 else kind
+    matched = []
+    for alpha in (0.0, 0.3 - 0.2j, 0.5j):
+        try:
+            closed = fam.family_smoothed_wigner(spec, kernel, alpha)
+        except ValueError as exc:
+            assert re.search("has no smoothed capability|no tabulated smoothed form"
+                             "|tabulated at the origin only", str(exc)), str(exc)
+            continue
+        state = fam.family_fock_expansion(spec)
+        oracle = wit.witness_c(state, kernel, alpha, max_photons=12).value
+        assert (math.pi / 2.0) * closed == pytest.approx(oracle, abs=1e-10)
+        matched.append(alpha)
+    assert (0.0 in matched) == ((tag, uniform_kind) in _TABULATED)
+
+
 def test_witness_c_explicit_ancilla_states():
     state = fam.family_fock_expansion(fam.w_family(3))
-    rep = wit.witness_c(state, [vacuum(1, 0)], alpha=0.0)
+    rep = wit.witness_c(state, fam.vacuum_kernel(1), alpha=0.0)
     assert rep.value == pytest.approx(-0.5, abs=1e-12)
     # ancillas with a higher cutoff than the system must not crash the joint
-    rep2 = wit.witness_c(state, [fock_state((3,), 6)], alpha=0.0)
+    rep2 = wit.witness_c(state, fam.fock_kernel(1, 3), alpha=0.0)
     assert np.isfinite(rep2.value)
 
 
