@@ -64,6 +64,7 @@ from .families import (
     w_family,
 )
 from .numerics import (
+    GaussianEnvelope,
     GridSpec,
     OptimizerBudget,
     SettingsOptimum,

@@ -7,7 +7,7 @@ capability, any subset of:
 * ``fock`` - an exact Fock expansion (the brute-force reference path),
 * ``slice_xy``, ``symmetries``, ``envelope`` - the Wigner function on the
   diagonal slice alpha*(1,...,1), with loss, its reflections and a radial
-  bound on its magnitude,
+  bound on its magnitude (a `numerics.GaussianEnvelope`, with exact tails),
 * ``c_entry`` - a characteristic/hybrid-expectation entry used by the
   settings-matrix witnesses,
 * ``smoothed``, ``com_wigner`` - the smoothed (centre-of-mass,
@@ -42,7 +42,6 @@ from itertools import permutations
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .fock_core import (
     MixedState,
@@ -53,6 +52,7 @@ from .fock_core import (
     normalize,
     vacuum,
 )
+from .numerics import GaussianEnvelope
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -270,6 +270,15 @@ class AncillaKind:
     fock: Callable | None = None
 
 
+def _laguerre(n: int, u):
+    """L_n(u) for n >= 1, by the forward-difference recurrence of scipy's eval_genlaguerre."""
+    d, p = -u, 1.0 - u
+    for k in range(1, n):
+        d = -u / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = d + p
+    return p
+
+
 # the ancillas that key the smoothed tables (see FamilyRecord)
 _VACUUM = ("vacuum",)
 _FOCK1 = ("fock", 1)
@@ -281,7 +290,7 @@ ANCILLAS = {kind.name: kind for kind in (
     AncillaKind("fock", lambda n: _is_int(n) and n >= 0,
                 "the Fock index must be an integer >= 0",
                 lambda n: ("fock", int(n)) if n else _VACUUM,  # |0> is the vacuum
-                lambda out, xi, u, n: out * np.exp(-0.5 * u) * eval_genlaguerre(n, 0, u),
+                lambda out, xi, u, n: out * np.exp(-0.5 * u) * _laguerre(n, u),
                 lambda cutoff, n: fock_state((n,), max(cutoff, n))),
     AncillaKind("squeezed", lambda s: (isinstance(s, numbers.Real) and not isinstance(s, bool)
                                        and 0.0 < s < math.inf),
@@ -449,6 +458,11 @@ def _even(spec) -> dict:
     return {"point_even": True, "conj_even": True}
 
 
+def _radial_envelope(a, scale, coeffs) -> GaussianEnvelope:
+    """scale * sum_k coeffs[k] rho^k e^(-a rho^2), for a bound on |slice|."""
+    return GaussianEnvelope(tuple((scale * c, k, a, 0.0) for k, c in enumerate(coeffs) if c))
+
+
 # w: a single excitation shared over M modes, with per-mode loss eta
 def _w_fock(spec, cutoff):
     m = spec.modes
@@ -466,14 +480,9 @@ def _w_slice(spec, p):
 
 
 def _w_envelope(spec):
-    m, eta = spec.modes, spec.eta
-    scale = (2.0 / math.pi) ** m
-
-    def env(rho):
-        u = np.asarray(rho) ** 2
-        return scale * np.exp(-2 * m * u) * ((1 - eta) * 4 * m * u + 1.0)
-
-    return env
+    m = spec.modes
+    return _radial_envelope(2.0 * m, (2.0 / math.pi) ** m,
+                            (1.0, 0.0, (1.0 - spec.eta) * 4.0 * m))
 
 
 def _w_c_entry(spec, xi):
@@ -553,20 +562,10 @@ def _cat_symmetries(spec) -> dict:
 
 
 def _cat_envelope(spec):
-    m = spec.modes
-    scale = (2.0 / math.pi) ** m
+    a = 2.0 * spec.modes
     g = abs(math.sqrt(1.0 - spec.eta) * spec.gamma)
-    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(spec.gamma) ** 2))
-
-    def env(rho):
-        rho = np.asarray(rho, dtype=float)
-        return (scale / n_plus) * (
-            np.exp(-2 * m * (rho - g) ** 2)
-            + np.exp(-2 * m * (rho + g) ** 2)
-            + 2 * np.exp(-2 * m * rho * rho)
-        )
-
-    return env
+    c = (2.0 / math.pi) ** spec.modes / (2.0 * (1.0 + math.exp(-a * abs(spec.gamma) ** 2)))
+    return GaussianEnvelope(((c, 0, a, g), (c, 0, a, -g), (2.0 * c, 0, a, 0.0)))
 
 
 def _cat_c_entry(spec, xi):
@@ -617,13 +616,8 @@ def _dicke2_slice(spec, p):
 
 def _dicke2_envelope(spec):
     m = spec.modes
-    scale = (2.0 / math.pi) ** m
-
-    def env(rho):
-        u = np.asarray(rho) ** 2
-        return scale * np.exp(-2 * m * u) * (1 + 8 * (m - 1) * u * (m * u + 1))
-
-    return env
+    return _radial_envelope(2.0 * m, (2.0 / math.pi) ** m,
+                            (1.0, 0.0, 8.0 * (m - 1), 0.0, 8.0 * m * (m - 1)))
 
 
 def _dicke2_smoothed(denominator, poly, spec, alpha, u):
@@ -688,20 +682,9 @@ def _psi1_symmetries(spec) -> dict:
 
 
 def _psi1_envelope(spec):
-    def env(rho):
-        rho = np.asarray(rho, dtype=float)
-        u = rho * rho
-        return (
-            np.exp(-6 * u)
-            / (16 * math.pi**3)
-            * (
-                _PSI1_A * (12 * u + 1) ** 2
-                + 8 * _SQ6 * rho * _PSI1_A * (6 * u + 1)
-                + abs(48 - 15 * _SQ23)
-            )
-        )
-
-    return env
+    a, b = _PSI1_A, 8.0 * _SQ6 * _PSI1_A  # A(12u+1)^2 + b rho(6u+1) + |48-15 sqrt23|
+    return _radial_envelope(6.0, 1.0 / (16.0 * math.pi**3),
+                            (a + abs(48.0 - 15.0 * _SQ23), b, 24.0 * a, 6.0 * b, 144.0 * a))
 
 
 def _psi1_smoothed(spec, alpha, u):
@@ -725,14 +708,6 @@ def _psi1_energy(spec) -> float:
 def _psi2_slice(spec, p):
     u = p.u
     return 4.0 / math.pi**3 * p.gauss(6.0) * (1.0 - 30.0 * u + 108.0 * u**2)
-
-
-def _psi2_envelope(spec):
-    def env(rho):
-        u = np.asarray(rho) ** 2
-        return 4 * np.exp(-6 * u) / math.pi**3 * (1 + 30 * u + 108 * u * u)
-
-    return env
 
 
 def _psi2_smoothed(spec, alpha, u):
@@ -789,7 +764,8 @@ FAMILIES = {record.tag: record for record in (
         smoothed={_VACUUM: _psi1_smoothed}, energy=_psi1_energy),
     FamilyRecord(
         "psi2", modes=3, fock=partial(_amps_fock, _PSI2_AMPS), slice_xy=_psi2_slice,
-        symmetries=_even, envelope=_psi2_envelope, smoothed={_VACUUM: _psi2_smoothed},
+        symmetries=_even, smoothed={_VACUUM: _psi2_smoothed},
+        envelope=lambda spec: _radial_envelope(6.0, 4.0 / math.pi**3, (1, 0, 30, 0, 108)),
         energy=lambda spec: 2.0 * 0.75 + 3.0 * 0.25),
     FamilyRecord(
         "psi4", modes=4, fock=partial(_orbits_fock, ((2, 1, 0, 0), (1, 1, 1, 0))),
@@ -853,10 +829,10 @@ def slice_symmetries(spec: FamilySpec) -> dict:
     return _capability(spec, "symmetries")(spec)
 
 
-def slice_abs_envelope(spec: FamilySpec):
+def slice_abs_envelope(spec: FamilySpec) -> GaussianEnvelope:
     """A radial upper bound rho -> max_{|alpha|=rho} |W(alpha)|.
 
-    Used to pick integration radii with provably small truncated tails.
+    A `GaussianEnvelope`, whose exact tails pick radii with provably small tails.
     """
     return _capability(spec, "envelope")(spec)
 

@@ -25,7 +25,6 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock_core import (
     DimensionError,
@@ -79,7 +78,8 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     k = np.arange(dim, dtype=float)
     f = np.empty((dim, dim))  # f[n, k] = f_n^k(x)
-    f[0] = np.exp(0.5 * k * math.log(x) - 0.5 * gammaln(k + 1.0) - 0.5 * x)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
+    f[0] = np.exp(0.5 * k * math.log(x) - 0.5 * log_factorial - 0.5 * x)
     if dim > 1:
         f[1] = f[0] * (1.0 + k - x) / np.sqrt(k + 1.0)
     for n in range(1, dim - 1):

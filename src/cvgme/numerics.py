@@ -28,11 +28,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-# not called here, but perfbench/tracing.py patches this name on this module
-from scipy.optimize import minimize  # noqa: F401
 
 logger = logging.getLogger(__name__)
+
+
+def __getattr__(name):  # perfbench/tracing.py patches numerics.minimize: load it only then
+    if name != "minimize":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from scipy.optimize import minimize
+    return minimize
 
 
 @dataclass(frozen=True)
@@ -427,6 +431,8 @@ def _covariance_root(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise ValueError("covariance must be 2x2")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
     if abs(cov[0, 1] - cov[1, 0]) > 1e-12:
         raise ValueError("covariance must be symmetric")
     try:
@@ -459,20 +465,40 @@ def gaussian_samples(mean, cov, n: int, seed: int) -> np.ndarray:
     return xy[0] + 1j * xy[1]
 
 
-def tail_radius(envelope, tol: float = 1e-6, r_start: float = 1.0,
-                r_step: float = 0.25, r_max: float = 40.0) -> float:
-    """Smallest lattice radius whose envelope tail integrates below `tol`.
+@dataclass(frozen=True)
+class GaussianEnvelope:
+    """rho -> sum of c rho^k e^(-a (rho - rho0)^2) over `terms` (c, k, a, rho0),
+    each with c >= 0, a > 0, an int k >= 0, and k = 0 if rho0 != 0."""
 
-    `envelope` maps rho -> an upper bound on |integrand| at radius rho; the
-    tail integral int_r^inf 2 pi rho envelope(rho) d rho is evaluated by
-    adaptive quadrature.
-    """
-    r = r_start
-    while r <= r_max:
-        tail, _ = integrate.quad(
-            lambda rho: 2.0 * math.pi * rho * envelope(rho), r, np.inf, limit=200
-        )
-        if tail < tol:
+    terms: tuple
+
+    def __post_init__(self):
+        for c, k, a, rho0 in self.terms:
+            if not (0 <= c < math.inf and 0 < a < math.inf and math.isfinite(rho0)
+                    and isinstance(k, int) and k >= 0 and (k == 0 or rho0 == 0)):
+                raise ValueError("bad envelope term (c, k, a, rho0) = %r" % ((c, k, a, rho0),))
+
+    def __call__(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        return sum(c * rho**k * np.exp(-a * (rho - rho0) ** 2) for c, k, a, rho0 in self.terms)
+
+    def tail(self, r: float) -> float:
+        """int_r^inf 2 pi rho envelope(rho) d rho: a term adds c (I_k + rho0 I_-1)(r - rho0),
+        I_j(t) = int_t^inf s^(j+1) e^(-a s^2) ds = (t^j e^(-a t^2) + j I_j-2(t)) / 2a."""
+        total = 0.0
+        for c, k, a, rho0 in self.terms:
+            t = r - rho0
+            i_odd = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * t)  # I_-1(t)
+            i = i_odd if k % 2 else 0.0
+            for j in range(k % 2, k + 1, 2):
+                i = (t**j * math.exp(-a * t * t) + j * i) / (2.0 * a)
+            total += c * (i + rho0 * i_odd)
+        return 2.0 * math.pi * total
+
+
+def tail_radius(envelope: GaussianEnvelope) -> float:
+    """First radius 1, 1.25, ..., 40 whose exact tail (`GaussianEnvelope.tail`) is < 1e-6."""
+    for r in (1.0 + 0.25 * n for n in range(157)):
+        if envelope.tail(r) < 1e-6:
             return r
-        r += r_step
-    raise ValueError("no radius up to %g meets the tail tolerance %g" % (r_max, tol))
+    raise ValueError("no radius up to 40 meets the tail tolerance 1e-6")

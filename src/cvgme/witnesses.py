@@ -398,13 +398,7 @@ class RandomDisplacementScheme:
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (2, 2):
-            raise ValueError("covariance must be 2x2")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12:
-            raise ValueError("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(cov)
-        if eig.min() < -1e-12:
-            raise ValueError("covariance is not positive semidefinite")
+        numerics._covariance_root(cov)  # 2x2, symmetric and positive semidefinite
         if self.modes < 3:
             raise ValueError("scheme needs at least 3 modes")
         det = float(max(np.linalg.det(cov), 0.0))
@@ -519,7 +513,9 @@ def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
         raise ValueError("a settings set needs at least 2 points")
     entry = lambda d: families.family_c_entry(spec, d)
     kernel_entry = None
-    if kernel is not None:
+    if kernel is None:
+        settings_threshold(spec.modes)  # M >= 2, before the search
+    else:
         kernel.check_modes(spec.modes)
         kernel_entry = lambda d: families.kernel_c_entry(kernel, d)
     if init_radius is None:

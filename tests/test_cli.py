@@ -6,6 +6,10 @@ full-resolution anchors live in the acceptance tests.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +289,20 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
     (["settings-w", "--m", "1", "--restarts", "2", "--max-evals", "50", "--seed", "0"],
      "got M = 1"),
     (["kernel-scan", "--s-range", "nan"], "finite and positive"),
+    (["mc-witness4", "--cov-scale", "nan", "--shots", "2000", "--seed", "1"],
+     "covariance must be finite"),
 ])
 def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, cvgme, cvgme.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "[]"

@@ -545,6 +545,29 @@ def test_com_wigner_w_family():
     assert fam.family_com_wigner(spec, y) == pytest.approx(expect, abs=1e-12)
 
 
+_POINTS = st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2 * math.pi)),
+                   min_size=1, max_size=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), tag=st.sampled_from(
+    sorted(t for t, record in fam.FAMILIES.items() if record.envelope)))
+def test_slice_envelope_bounds_every_family(data, tag):
+    record = fam.FAMILIES[tag]
+    values = {"modes": record.modes}
+    for p in record.params:
+        if p.field == "gamma":
+            values["gamma"] = complex(data.draw(_GAMMAS, label="gamma"))
+        elif p.field == "eta":
+            values["eta"] = data.draw(_hundredths(0, 100), label="eta")
+        else:
+            values[p.field] = data.draw(st.integers(2, 9), label=p.field)
+    spec = fam.FamilySpec(tag, **values)
+    rho, theta = np.array(data.draw(_POINTS, label="points")).T
+    vals = np.abs(fam.family_wigner_slice(spec, rho * np.exp(1j * theta)))
+    assert np.all(vals <= fam.slice_abs_envelope(spec)(rho) * (1 + 1e-9) + 1e-12)
+
+
 def test_slice_envelope_bounds_slice():
     for spec in (fam.w_family(3, eta=0.1), fam.cat_family(3, 1.1), fam.psi_family("psi2")):
         env = fam.slice_abs_envelope(spec)

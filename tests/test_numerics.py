@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -372,14 +373,85 @@ def test_gaussian_samples_rejects_indefinite():
         num.gaussian_samples((0, 0), [[1.0, 0.0], [0.0, -1e-6]], 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_covariance_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        num.gaussian_samples((0, 0), [[bad, 0.0], [0.0, 1.0]], 10, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        wit.RandomDisplacementScheme(0.0, ((1.0, 0.0), (0.0, bad)), 3)
+
+
 # ---------------------------------------------------------------------------
 # tail radius
 # ---------------------------------------------------------------------------
 
 
 def test_tail_radius_gaussian():
-    env = lambda rho: np.exp(-2.0 * rho**2)
-    r = num.tail_radius(env, tol=1e-6)
+    env = num.GaussianEnvelope(((1.0, 0, 2.0, 0.0),))  # exp(-2 rho^2)
+    r = num.tail_radius(env)
     # analytic tail: (pi/2) exp(-2 r^2) <= tol
     assert (math.pi / 2) * math.exp(-2 * r * r) <= 1e-6
     assert r < 4.0  # and not absurdly conservative
+
+
+def _mp_tail(terms, r):
+    """int_r^inf 2 pi rho sum c rho^k e^(-a (rho - rho0)^2) d rho at 40 digits,
+    split at each centre beyond r."""
+    def integrand(rho):
+        return 2 * mpmath.pi * rho * sum(
+            mpmath.mpf(c) * rho**k * mpmath.exp(-mpmath.mpf(a) * (rho - rho0) ** 2)
+            for c, k, a, rho0 in terms)
+
+    with mpmath.workdps(40):
+        cuts = sorted({mpmath.mpf(r)} | {mpmath.mpf(t[3]) for t in terms if t[3] > r})
+        return float(mpmath.quad(integrand, cuts + [mpmath.inf]))
+
+
+@pytest.mark.parametrize("terms,r", [
+    (((1.0, 0, 2.0, 0.0),), 1.0),
+    (((0.7, 1, 6.0, 0.0), (2.0, 3, 6.0, 0.0), (0.1, 5, 1.5, 0.0)), 0.8),
+    (((0.3, 2, 4.0, 0.0), (1.2, 4, 4.0, 0.0), (0.5, 6, 4.0, 0.0)), 0.0),
+    (((1.0, 0, 6.0, 1.2),), 0.5),  # r below a shifted centre
+    (((1.0, 0, 6.0, 1.2),), 1.7),
+    (((1.0, 0, 6.0, -1.2),), 0.5),
+    (((0.5, 0, 18.0, 2.0), (0.5, 0, 18.0, -2.0), (1.0, 0, 18.0, 0.0)), 1.25),
+    (((0.5, 0, 18.0, 2.0), (0.5, 0, 18.0, -2.0), (1.0, 0, 18.0, 0.0)), 2.75),
+])
+def test_envelope_tail_matches_mpmath(terms, r):
+    assert num.GaussianEnvelope(terms).tail(r) == pytest.approx(_mp_tail(terms, r),
+                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    fam.w_family(3, eta=0.1), fam.cat_family(3, 1.1), fam.cat_family(2, 0.5 + 0.4j, 0.1),
+    fam.cat_family(9, 0.86), fam.dicke2_family(4), fam.psi_family("psi1"),
+    fam.psi_family("psi2"),
+], ids=lambda s: s.label())
+def test_family_envelope_tail_matches_mpmath(spec):
+    env = fam.slice_abs_envelope(spec)
+    for r in (0.25, num.tail_radius(env)):
+        assert env.tail(r) == pytest.approx(_mp_tail(env.terms, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("term", [
+    (-1.0, 0, 1.0, 0.0),  # negative coefficient
+    (math.nan, 0, 1.0, 0.0),
+    (1.0, 0, 0.0, 0.0),  # no decay
+    (1.0, 0, -2.0, 0.0),
+    (1.0, 0, math.inf, 0.0),
+    (1.0, 0, 1.0, math.nan),
+    (1.0, -1, 1.0, 0.0),  # negative power
+    (1.0, 1.5, 1.0, 0.0),  # fractional power
+    (1.0, 1, 1.0, 0.5),  # a power on a shifted centre
+    (1.0, 2, 1.0, -0.5),
+])
+def test_envelope_rejects_bad_terms(term):
+    with pytest.raises(ValueError, match="envelope term"):
+        num.GaussianEnvelope((term,))
+
+
+def test_minimize_resolves_on_demand():
+    # perfbench/tracing.py patches numerics.minimize
+    assert num.minimize is minimize
+    with pytest.raises(AttributeError):
+        num.no_such_name

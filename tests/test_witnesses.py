@@ -661,11 +661,12 @@ def test_optimize_witness_reports_optimizer_work():
     lambda n, b: wit.optimize_witness_b(fam.w_family(3), n, b),
     lambda n, b: wit.optimize_witness_e(fam.w_family(3), fam.vacuum_kernel(1), n, b),
     lambda n, b: wit.optimize_witness_e(fam.w_family(3), fam.vacuum_kernel(2), 4, b),
-], ids=["B-one-point", "E-one-point", "E-wrong-kernel"])
+    lambda n, b: wit.optimize_witness_b(fam.w_family(1), 3, b),
+], ids=["B-one-point", "E-one-point", "E-wrong-kernel", "B-one-mode"])
 def test_optimize_witness_rejects_bad_input_before_optimizing(optimize, monkeypatch):
     def optimizer_ran(*args, **kwargs):
         raise AssertionError("the optimizer ran")
 
     monkeypatch.setattr(num, "optimize_settings", optimizer_ran)
-    with pytest.raises(ValueError, match="at least 2 points|ancillas"):
+    with pytest.raises(ValueError, match="at least 2 (points|modes)|ancillas"):
         optimize(1, num.OptimizerBudget(restarts=2, max_evals=10, seed=0))
