@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -52,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
         raise SystemExit(1)
-
-
-@dataclass
-class ExperimentInfo:
-    name: str
-    flags: str
-    anchor: str
 
 
 @dataclass
@@ -176,20 +170,12 @@ def _limit_threads(n) -> None:
         pass
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise CliError(
-            "experiment %r is stochastic; a --seed is required" % args.experiment
-        )
-    return args.seed
-
-
 def _budget(args) -> numerics.OptimizerBudget:
     return numerics.OptimizerBudget(
         restarts=args.restarts,
         max_evals=args.max_evals,
         tol=1e-7,
-        seed=_require_seed(args),
+        seed=args.seed,
     )
 
 
@@ -436,7 +422,6 @@ def _run_kernel_scan(args) -> ExperimentResult:
 
 
 def _run_mc_witness4(args) -> ExperimentResult:
-    seed = _require_seed(args)
     spec = families.parse_family(args.family)
     m = spec.modes
     scale = args.cov_scale
@@ -446,7 +431,7 @@ def _run_mc_witness4(args) -> ExperimentResult:
     scheme = witnesses.RandomDisplacementScheme(
         alpha=alpha, cov=((scale, 0.0), (0.0, scale)), modes=m
     )
-    rep = witnesses.witness_d(spec, scheme, args.shots, seed)
+    rep = witnesses.witness_d(spec, scheme, args.shots, args.seed)
     err = 3.0 * rep.stderr
     row = _row(rep.value, rep.threshold, rep.certified, rep.threshold - rep.value - err,
                n_samples=args.shots, error=err)
@@ -461,79 +446,90 @@ def _run_mc_witness4(args) -> ExperimentResult:
 # registry / parser
 # ---------------------------------------------------------------------------
 
-#: Each experiment's name and the reference study its output regenerates.
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: the reference study its output regenerates, its runner,
+    its own options as (option, type, default[, help]) in --help order, and
+    whether it is stochastic (needs a --seed)."""
+
+    anchor: str
+    run: Callable[[argparse.Namespace], ExperimentResult]
+    flags: tuple
+    stochastic: bool = False
+
+
+#: Every experiment by name, in the order `cvgme list` and --help show them.
 EXPERIMENTS = {
-    "wstate-violation": "violation-vs-mode-count curve for W states",
-    "cat-violation": "violation-vs-cat-size curves",
-    "dicke-violation": "violation-vs-mode-count curve for two-excitation Dicke states",
-    "asym-volumes": "slice-volume table for the two asymmetric three-mode states",
-    "wstate-loss": "loss-threshold curve for W states",
-    "cat-loss": "loss-threshold-vs-cat-size curve",
-    "rmin-scan": "minimal certification radius against loss",
-    "numint": "discretized-integration certification study",
-    "settings-w": "optimized settings-matrix certification for lossy W states",
-    "settings-cat": "optimized settings-matrix certification for lossy cat states",
-    "zeta-scan": "kernel-witness value against the collective-noise parameter",
-    "kernel-scan": "kernel-witness value against the squeezing of the kernel",
-    "mc-witness4": "Monte-Carlo randomized-displacement certification",
+    "wstate-violation": Experiment(
+        "violation-vs-mode-count curve for W states",
+        partial(_run_closed_form_violation, families.w_family),
+        (("--m-range", str, "3..8"),)),
+    "cat-violation": Experiment(
+        "violation-vs-cat-size curves", _run_cat_violation,
+        (("--m-range", str, "3..3"), ("--gamma-range", str, "0.1:2:0.05"),
+         ("--eta", float, 0.0), ("--delta", float, 0.01))),
+    "dicke-violation": Experiment(
+        "violation-vs-mode-count curve for two-excitation Dicke states",
+        partial(_run_closed_form_violation, families.dicke2_family),
+        (("--m-range", str, "3..8"),)),
+    "asym-volumes": Experiment(
+        "slice-volume table for the two asymmetric three-mode states",
+        _run_asym_volumes, (("--delta", float, 0.01), ("--r", float, 3.0))),
+    "wstate-loss": Experiment(
+        "loss-threshold curve for W states", partial(_run_loss_threshold, _w_sweep),
+        (("--m-range", str, "3..6"), ("--delta", float, 0.005), ("--tol", float, 2e-4))),
+    "cat-loss": Experiment(
+        "loss-threshold-vs-cat-size curve", partial(_run_loss_threshold, _cat_sweep),
+        (("--m", int, 3), ("--gamma-range", str, "0.5:1.5:0.25"),
+         ("--delta", float, 0.005), ("--tol", float, 5e-4))),
+    "rmin-scan": Experiment(
+        "minimal certification radius against loss", _run_rmin_scan,
+        (("--m", int, 3), ("--eta-range", str, "0:0.3:0.05"), ("--delta", float, 0.01),
+         ("--tol", float, 0.01), ("--r-lo", float, 0.2), ("--r-hi", float, 3.0))),
+    "numint": Experiment(
+        "discretized-integration certification study", _run_numint,
+        (("--family", str, "w:M=3"), ("--delta", float, 0.01), ("--delta-range", str, None),
+         ("--r", float, 0.9),
+         ("--energy", float, None,
+          "mean-photon bound enabling the rigorous error ledger"))),
+    "settings-w": Experiment(
+        "optimized settings-matrix certification for lossy W states",
+        partial(_run_settings, lambda args: families.w_family(args.m, eta=args.eta)),
+        (("--m", int, 3), ("--eta", float, 0.03), ("--n-points", int, 4),
+         ("--restarts", int, 64), ("--max-evals", int, 2000)),
+        stochastic=True),
+    "settings-cat": Experiment(
+        "optimized settings-matrix certification for lossy cat states",
+        partial(_run_settings, lambda args: families.cat_family(
+            args.m, args.gamma, eta=args.eta)),
+        (("--m", int, 3), ("--gamma", float, 1.0), ("--eta", float, 0.1),
+         ("--n-points", int, 5), ("--restarts", int, 64), ("--max-evals", int, 2000)),
+        stochastic=True),
+    "zeta-scan": Experiment(
+        "kernel-witness value against the collective-noise parameter", _run_zeta_scan,
+        (("--m", int, 3), ("--zeta-range", str, "0.25:0.6:0.025"), ("--n-points", int, 6),
+         ("--restarts", int, 16), ("--max-evals", int, 1500)),
+        stochastic=True),
+    "kernel-scan": Experiment(
+        "kernel-witness value against the squeezing of the kernel", _run_kernel_scan,
+        (("--family", str, "cat:M=3,gamma=1"), ("--s-range", str, "0.2:1.2:0.005"))),
+    "mc-witness4": Experiment(
+        "Monte-Carlo randomized-displacement certification", _run_mc_witness4,
+        (("--family", str, "w:M=3"),
+         ("--alpha", str, "0", "phase-space point, python complex syntax"),
+         ("--cov-scale", float, None,
+          "isotropic covariance scale (default: soundness bound)"),
+         ("--shots", int, 100000)),
+        stochastic=True),
 }
 
-_RUNNERS = {
-    "wstate-violation": partial(_run_closed_form_violation, families.w_family),
-    "cat-violation": _run_cat_violation,
-    "dicke-violation": partial(_run_closed_form_violation, families.dicke2_family),
-    "asym-volumes": _run_asym_volumes,
-    "wstate-loss": partial(_run_loss_threshold, _w_sweep),
-    "cat-loss": partial(_run_loss_threshold, _cat_sweep),
-    "rmin-scan": _run_rmin_scan,
-    "numint": _run_numint,
-    "settings-w": partial(_run_settings,
-                          lambda args: families.w_family(args.m, eta=args.eta)),
-    "settings-cat": partial(_run_settings, lambda args: families.cat_family(
-        args.m, args.gamma, eta=args.eta)),
-    "zeta-scan": _run_zeta_scan,
-    "kernel-scan": _run_kernel_scan,
-    "mc-witness4": _run_mc_witness4,
-}
-
-STOCHASTIC = frozenset({"settings-w", "settings-cat", "zeta-scan", "mc-witness4"})
-
-
-def list_experiments():
-    """Stable-ordered table of experiment names, flags, and output anchors.
-
-    The flags are the options each experiment's subparser declares ahead of
-    the common ones, plus --seed for the stochastic experiments.
-    """
-    common = _Parser(add_help=False)
-    _add_common(common)
-    skip = {action.dest for action in common._actions} | {"help"}
-    subparsers = build_parser().experiments
-    out = []
-    for name, anchor in EXPERIMENTS.items():
-        flags = [action.option_strings[0] for action in subparsers[name]._actions
-                 if action.dest not in skip]
-        if name in STOCHASTIC:
-            flags.append("--seed")
-        out.append(ExperimentInfo(name, " ".join(flags), anchor))
-    return out
-
-
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None, metavar="U64",
-                     help="RNG seed (required for stochastic experiments)")
-    sub.add_argument("--out", default=".", metavar="DIR",
-                     help="output directory (default: current)")
-    sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="cap the BLAS/OpenMP thread pools")
-    sub.add_argument("--format", choices=("csv", "json", "both"), default="both",
-                     help="which files to write (default: both)")
-    sub.add_argument("--gnuplot", action="store_true",
-                     help="also write a plotting script referencing the CSV")
+# the dispatch table of run_experiment; perfbench/tracing.py wraps its values
+_RUNNERS = {name: exp.run for name, exp in EXPERIMENTS.items()}
 
 
 def build_parser() -> _Parser:
-    """The cvgme parser; `.experiments` maps each experiment to its subparser."""
+    """The cvgme parser: one subparser per experiment, its own options first."""
     parser = _Parser(
         prog="cvgme",
         description="Phase-space certification of genuine multipartite "
@@ -541,89 +537,26 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="experiment", parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser("list", help="list available experiments")
-    p.set_defaults(experiment="list")
-    exp = parser.experiments = {name: sub.add_parser(name, help=anchor)
-                                for name, anchor in EXPERIMENTS.items()}
-
-    exp["wstate-violation"].add_argument("--m-range", default="3..8")
-
-    p = exp["cat-violation"]
-    p.add_argument("--m-range", default="3..3")
-    p.add_argument("--gamma-range", default="0.1:2:0.05")
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.01)
-
-    exp["dicke-violation"].add_argument("--m-range", default="3..8")
-
-    p = exp["asym-volumes"]
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--r", type=float, default=3.0)
-
-    p = exp["wstate-loss"]
-    p.add_argument("--m-range", default="3..6")
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--tol", type=float, default=2e-4)
-
-    p = exp["cat-loss"]
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--gamma-range", default="0.5:1.5:0.25")
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--tol", type=float, default=5e-4)
-
-    p = exp["rmin-scan"]
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--eta-range", default="0:0.3:0.05")
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--r-lo", type=float, default=0.2)
-    p.add_argument("--r-hi", type=float, default=3.0)
-
-    p = exp["numint"]
-    p.add_argument("--family", default="w:M=3")
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--delta-range", default=None)
-    p.add_argument("--r", type=float, default=0.9)
-    p.add_argument("--energy", type=float, default=None,
-                   help="mean-photon bound enabling the rigorous error ledger")
-
-    p = exp["settings-w"]
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--eta", type=float, default=0.03)
-    p.add_argument("--n-points", type=int, default=4)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-evals", type=int, default=2000)
-
-    p = exp["settings-cat"]
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--n-points", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-evals", type=int, default=2000)
-
-    p = exp["zeta-scan"]
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--zeta-range", default="0.25:0.6:0.025")
-    p.add_argument("--n-points", type=int, default=6)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-evals", type=int, default=1500)
-
-    p = exp["kernel-scan"]
-    p.add_argument("--family", default="cat:M=3,gamma=1")
-    p.add_argument("--s-range", default="0.2:1.2:0.005")
-
-    p = exp["mc-witness4"]
-    p.add_argument("--family", default="w:M=3")
-    p.add_argument("--alpha", default="0",
-                   help="phase-space point, python complex syntax")
-    p.add_argument("--cov-scale", type=float, default=None,
-                   help="isotropic covariance scale (default: soundness bound)")
-    p.add_argument("--shots", type=int, default=100000)
-
-    for p in exp.values():
-        _add_common(p)
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        experiment="list")
+    # all subparsers first, then their options: ~4% quicker than interleaved,
+    # and every main() call builds the whole parser
+    subparsers = [(sub.add_parser(name, help=exp.anchor), exp)
+                  for name, exp in EXPERIMENTS.items()]
+    for p, exp in subparsers:
+        for option, type_, default, *help_ in exp.flags:
+            p.add_argument(option, type=type_, default=default,
+                           help=help_[0] if help_ else None)
+        p.add_argument("--seed", type=int, default=None, metavar="U64",
+                       help="RNG seed (required for stochastic experiments)")
+        p.add_argument("--out", default=".", metavar="DIR",
+                       help="output directory (default: current)")
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="cap the BLAS/OpenMP thread pools")
+        p.add_argument("--format", choices=("csv", "json", "both"), default="both",
+                       help="which files to write (default: both)")
+        p.add_argument("--gnuplot", action="store_true",
+                       help="also write a plotting script referencing the CSV")
     return parser
 
 
@@ -640,8 +573,8 @@ def _config_dict(args) -> dict:
 def run_experiment(args) -> int:
     """Run one experiment, write its artifacts, and return the exit code."""
     name = args.experiment
-    if name in STOCHASTIC:
-        _require_seed(args)
+    if EXPERIMENTS[name].stochastic and args.seed is None:
+        raise CliError("experiment %r is stochastic; a --seed is required" % name)
     _limit_threads(args.threads)
     result = _RUNNERS[name](args)
 
@@ -693,9 +626,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "list":
-        for info in list_experiments():
-            print("%-18s %s" % (info.name, info.anchor))
-            print("%-18s   flags: %s" % ("", info.flags))
+        for name, exp in EXPERIMENTS.items():
+            flags = [flag[0] for flag in exp.flags]
+            if exp.stochastic:
+                flags.append("--seed")
+            print("%-18s %s" % (name, exp.anchor))
+            print("%-18s   flags: %s" % ("", " ".join(flags)))
         return 0
     try:
         return run_experiment(args)

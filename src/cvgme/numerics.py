@@ -105,8 +105,8 @@ def rigorous_error(grid: GridSpec, modes: int, energy_bound: float) -> float:
     The radial term sum_cells sqrt(2 (n_R^2 + n_I^2)) is sqrt(2)/delta^3 times
     the lattice integral of |alpha|, summed block by block on a quarter disc.
     """
-    if energy_bound < 0:
-        raise ValueError("energy bound must be nonnegative")
+    if not 0 <= energy_bound < math.inf:
+        raise ValueError("energy bound must be finite and nonnegative")
     cells = grid.cell_count()
     d = grid.delta
     per_cell_const = 2.0 * d**3 * math.sqrt(2.0 * modes * energy_bound)

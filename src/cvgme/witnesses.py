@@ -25,6 +25,7 @@ Scheme summary (M system modes throughout):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -111,40 +112,38 @@ def trace_norm_hermitian(mat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def _settings_matrices(entry_fn, xi, normalized: bool = True, kernel_fn=None):
+def _settings_matrices(entry_fn, xi, kernel_fn=None):
     """Hermitian matrices 0.5 (E + E^H) of a stack of settings sets xi (..., N).
 
-    E[a, b] = entry_fn(xi_a - xi_b), divided by N when `normalized` and
-    multiplied by kernel_fn(xi_a - xi_b) when a kernel is given; both are
-    called once, on the whole (..., N, N) array of differences.
+    E[a, b] = entry_fn(xi_a - xi_b) / N, multiplied by kernel_fn(xi_a - xi_b)
+    when a kernel is given; both are called once, on the whole (..., N, N)
+    array of differences.
     """
     n = xi.shape[-1]
     diffs = xi[..., :, None] - xi[..., None, :]
     mat = np.asarray(entry_fn(diffs), dtype=complex)
     if mat.shape != diffs.shape:
         mat = np.broadcast_to(mat, diffs.shape)
-    if normalized:
-        mat = mat / n
+    mat = mat / n
     if kernel_fn is not None:
         mat = mat * np.asarray(kernel_fn(diffs), dtype=complex)
     return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
 
 
-def build_settings_matrix(entry_fn, xi, normalized: bool = True,
-                          kernel_fn=None) -> np.ndarray:
-    """Hermitian matrix of entry_fn(xi_n - xi_n') over a settings set.
+def build_settings_matrix(entry_fn, xi, kernel_fn=None) -> np.ndarray:
+    """Hermitian matrix of entry_fn(xi_n - xi_n') / N over a settings set.
 
     `entry_fn` (and `kernel_fn`, whose values multiply the entries) is called
     once on the N x N array of differences; the matrix is the Hermitian part
-    of the result.  With `normalized` the entries carry a 1/N factor (so a
-    unit diagonal entry function gives trace 1).
+    of the result.  The 1/N factor gives a unit diagonal entry function
+    trace 1; the kernel values carry no such factor.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     if xi.size < 2:
         raise ValueError("a settings set needs at least 2 points")
     if not np.all(np.isfinite(xi)):
         raise ValueError("settings points must be finite")
-    mat = _settings_matrices(entry_fn, xi, normalized, kernel_fn)
+    mat = _settings_matrices(entry_fn, xi, kernel_fn)
     if not np.all(np.isfinite(mat)):
         raise ValueError("entry function returned a non-finite value")
     return mat
@@ -399,6 +398,8 @@ class RandomDisplacementScheme:
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
         numerics._covariance_root(cov)  # 2x2, symmetric and positive semidefinite
+        if not cmath.isfinite(complex(self.alpha)):
+            raise ValueError("alpha must be finite, got %r" % (self.alpha,))
         if self.modes < 3:
             raise ValueError("scheme needs at least 3 modes")
         det = float(max(np.linalg.det(cov), 0.0))
@@ -473,8 +474,11 @@ def witness_e(char_entry_fn, xi, kernel: families.KernelSpec, modes: int,
     return _settings_witness(char_entry_fn, xi, modes, kernel, family, seed)
 
 
-def stacked_settings_objective(entry_fn, kernel_entry_fn=None,
-                               escape_slope: float = 30.0):
+#: Slope of the plateau-escape funnel of the settings objective.
+ESCAPE_SLOPE = 30.0
+
+
+def stacked_settings_objective(entry_fn, kernel_entry_fn=None):
     """Optimization objective over a stack of settings sets, with plateau escape.
 
     The returned function maps settings sets xi (..., N) to their values
@@ -482,33 +486,34 @@ def stacked_settings_objective(entry_fn, kernel_entry_fn=None,
     of the (normalized, trace-1) settings matrix equals 1 on the entire
     region where the matrix is positive semidefinite, which leaves simplex
     methods stranded.  Whenever the smallest eigenvalue is nonnegative the
-    objective returns 1 - slope * lambda_min instead, turning the flat region
+    objective returns 1 - ESCAPE_SLOPE * lambda_min instead, turning the flat region
     into a gentle funnel toward the PSD boundary while agreeing with the
     trace norm wherever the matrix has a negative mode.
     """
 
     def objective(xi):
-        mat = _settings_matrices(entry_fn, np.asarray(xi, dtype=complex), True,
+        mat = _settings_matrices(entry_fn, np.asarray(xi, dtype=complex),
                                  kernel_entry_fn)
         eigs = np.linalg.eigvalsh(mat)
         lam_min = eigs[..., 0]
         return np.where(lam_min < -1e-14, np.abs(eigs).sum(axis=-1),
-                        1.0 - escape_slope * lam_min)
+                        1.0 - ESCAPE_SLOPE * lam_min)
 
     return objective
 
 
-def settings_objective(entry_fn, kernel_entry_fn=None, escape_slope: float = 30.0):
+def settings_objective(entry_fn, kernel_entry_fn=None):
     """The plateau-escape objective of one settings set (a float per call).
 
     This is :func:`stacked_settings_objective` applied to a single set.
     """
-    stacked = stacked_settings_objective(entry_fn, kernel_entry_fn, escape_slope)
+    stacked = stacked_settings_objective(entry_fn, kernel_entry_fn)
     return lambda xi: float(stacked(np.asarray(xi, dtype=complex).ravel()))
 
 
-def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
-    """Optimize witness B (no kernel) or E (with one) over Xi for a family."""
+def _optimize_settings_witness(spec, kernel, n_points, budget):
+    """Optimize witness B (no kernel) or E (with one) over Xi for a family,
+    from starting points in the disc of radius 3/sqrt(M)."""
     if n_points < 2:
         raise ValueError("a settings set needs at least 2 points")
     entry = lambda d: families.family_c_entry(spec, d)
@@ -518,10 +523,9 @@ def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
     else:
         kernel.check_modes(spec.modes)
         kernel_entry = lambda d: families.kernel_c_entry(kernel, d)
-    if init_radius is None:
-        init_radius = 3.0 / math.sqrt(spec.modes)
     optimum = numerics.optimize_settings(
-        stacked_settings_objective(entry, kernel_entry), n_points, budget, init_radius
+        stacked_settings_objective(entry, kernel_entry), n_points, budget,
+        3.0 / math.sqrt(spec.modes)
     )
     report = _settings_witness(entry, optimum.xi, spec.modes, kernel, spec.label(),
                                budget.seed)
@@ -533,14 +537,12 @@ def _optimize_settings_witness(spec, kernel, n_points, budget, init_radius):
 
 
 def optimize_witness_b(spec: families.FamilySpec, n_points: int,
-                       budget: numerics.OptimizerBudget,
-                       init_radius: float | None = None) -> WitnessReport:
+                       budget: numerics.OptimizerBudget) -> WitnessReport:
     """Optimize the settings-matrix witness over Xi for a closed-form family."""
-    return _optimize_settings_witness(spec, None, n_points, budget, init_radius)
+    return _optimize_settings_witness(spec, None, n_points, budget)
 
 
 def optimize_witness_e(spec: families.FamilySpec, kernel: families.KernelSpec,
-                       n_points: int, budget: numerics.OptimizerBudget,
-                       init_radius: float | None = None) -> WitnessReport:
+                       n_points: int, budget: numerics.OptimizerBudget) -> WitnessReport:
     """Optimize the kernel-matrix witness over Xi for a closed-form family."""
-    return _optimize_settings_witness(spec, kernel, n_points, budget, init_radius)
+    return _optimize_settings_witness(spec, kernel, n_points, budget)

@@ -4,6 +4,7 @@ Experiments here run at reduced resolution so the suite stays quick; the
 full-resolution anchors live in the acceptance tests.
 """
 
+import argparse
 import json
 import math
 import os
@@ -89,7 +90,7 @@ def test_list_is_stable_and_complete(capsys):
     assert cli.main(["list"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    names = [info.name for info in cli.list_experiments()]
+    names = list(cli.EXPERIMENTS)
     assert len(names) >= 11
     assert "wstate-violation" in names
     assert "mc-witness4" in names
@@ -102,12 +103,14 @@ def test_list_flags_are_the_subparser_options(capsys):
     lines = capsys.readouterr().out.splitlines()
     listed = {name.split()[0]: flags.split("flags:")[1].split()
               for name, flags in zip(lines[::2], lines[1::2])}
-    subparsers = cli.build_parser().experiments
+    (action,) = [action for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    subparsers = {name: p for name, p in action.choices.items() if name != "list"}
     assert list(listed) == list(subparsers) == list(cli.EXPERIMENTS)
     common = {"-h", "--help", "--seed", "--out", "--threads", "--format", "--gnuplot"}
     for name, flags in listed.items():
         own = {opt for opt in subparsers[name]._option_string_actions if opt not in common}
-        want = own | ({"--seed"} if name in cli.STOCHASTIC else set())
+        want = own | ({"--seed"} if cli.EXPERIMENTS[name].stochastic else set())
         assert len(flags) == len(set(flags)) and set(flags) == want, name
     assert listed["rmin-scan"] == ["--m", "--eta-range", "--delta", "--tol",
                                    "--r-lo", "--r-hi"]
@@ -222,10 +225,17 @@ def test_exit_code_two_when_nothing_certifies(tmp_path):
     assert code == 2
 
 
-def test_stochastic_experiments_require_seed(tmp_path, capsys):
-    code = cli.main(["mc-witness4", "--out", str(tmp_path)])
+@pytest.mark.parametrize("name", ["settings-w", "settings-cat", "zeta-scan",
+                                  "mc-witness4"])
+def test_stochastic_experiments_require_seed(tmp_path, capsys, monkeypatch, name):
+    assert cli.EXPERIMENTS[name].stochastic
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, name, ran.append)
+    code = cli.main([name, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "seed" in capsys.readouterr().err
+    # rejected before the runner starts or any output is written
+    assert ran == [] and not (tmp_path / "out").exists()
 
 
 def test_unknown_experiment_exits_one(capsys):
@@ -291,6 +301,12 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
     (["kernel-scan", "--s-range", "nan"], "finite and positive"),
     (["mc-witness4", "--cov-scale", "nan", "--shots", "2000", "--seed", "1"],
      "covariance must be finite"),
+    (["numint", "--energy", "nan"], "energy bound must be finite and nonnegative"),
+    (["numint", "--energy", "inf"], "energy bound must be finite and nonnegative"),
+    (["mc-witness4", "--alpha", "nan", "--shots", "2000", "--seed", "1"],
+     "alpha must be finite"),
+    (["mc-witness4", "--alpha", "infj", "--shots", "2000", "--seed", "1"],
+     "alpha must be finite"),
 ])
 def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1

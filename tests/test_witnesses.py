@@ -95,14 +95,14 @@ def test_settings_matrix_layout():
         return (2.0 + np.abs(d) ** 2) * np.exp(1j * d.real)
 
     xi = np.array([0.5, -0.25j, 1.0 + 1.0j])
-    mat = wit.build_settings_matrix(entry, xi, normalized=False)
+    scaled = wit.build_settings_matrix(entry, xi)
     # one call, on the whole array of differences
     assert calls == [(3, 3)]
+    mat = 3.0 * scaled  # the entries carry 1/N
     np.testing.assert_allclose(mat, mat.conj().T)
     assert mat[0, 1] == pytest.approx(entry(xi[0] - xi[1]))
     assert mat[1, 0] == pytest.approx(np.conj(mat[0, 1]))
-    scaled = wit.build_settings_matrix(entry, xi, normalized=True)
-    np.testing.assert_allclose(scaled, mat / 3.0, atol=1e-15)
+    np.testing.assert_allclose(scaled, entry(xi[:, None] - xi[None, :]) / 3.0, atol=1e-15)
 
 
 def test_settings_matrix_kernel_multiplies_entries():
@@ -112,7 +112,7 @@ def test_settings_matrix_kernel_multiplies_entries():
     xi = np.array([0.3 - 0.1j, -0.4j, 0.8 + 0.2j, -0.5])
     mat = wit.build_settings_matrix(entry, xi, kernel_fn=kernel_entry)
     c_mat = wit.build_settings_matrix(entry, xi)
-    k_mat = wit.build_settings_matrix(kernel_entry, xi, normalized=False)
+    k_mat = 4.0 * wit.build_settings_matrix(kernel_entry, xi)  # no 1/N on the kernel
     np.testing.assert_allclose(mat, c_mat * k_mat, rtol=0, atol=1e-15)
 
 
@@ -598,9 +598,10 @@ def test_settings_objective_agrees_with_trace_norm():
 def test_settings_objective_funnels_psd_plateau():
     spec = fam.w_family(3)
     entry = lambda d: fam.family_c_entry(spec, d)
-    obj = wit.settings_objective(entry, escape_slope=30.0)
+    obj = wit.settings_objective(entry)
+    assert wit.ESCAPE_SLOPE == 30.0
     xi = np.array([0.0, 0.01, -0.01])  # tiny spread: PSD region
-    mat = wit.build_settings_matrix(entry, xi, normalized=True)
+    mat = wit.build_settings_matrix(entry, xi)  # entries carry 1/N
     lam_min = float(np.linalg.eigvalsh(mat)[0])
     assert lam_min > -1e-14
     assert obj(xi) == pytest.approx(1.0 - 30.0 * lam_min, rel=1e-9)
