@@ -155,13 +155,7 @@ def _limit_threads(n) -> None:
         return
     if n < 1:
         raise CliError("--threads must be at least 1")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
+    # numpy is loaded by now, so only threadpoolctl can still resize its pools
     try:
         import threadpoolctl
 
@@ -287,11 +281,13 @@ def _run_loss_threshold(sweep, args) -> ExperimentResult:
     for x, build in points:
         lossless = build()
         thr = witnesses.volume_threshold(lossless.modes)
+        value0 = v2d_quadrature(lossless, args.delta)
 
-        def detects(eta, build=build, thr=thr):
+        def detects(eta, build=build, thr=thr, value0=value0):
+            if eta == 0.0:  # the search's first probe: the lossless family
+                return value0 > thr
             return v2d_quadrature(build(eta=eta), args.delta) > thr
 
-        value0 = v2d_quadrature(lossless, args.delta)
         try:
             eta_max = numerics.bisect_threshold(detects, 0.0, 0.5, args.tol)
             found = True
@@ -341,7 +337,7 @@ def _run_numint(args) -> ExperimentResult:
     rows, reports = [], []
     for delta in deltas:
         grid = numerics.disc_grid(delta, args.r, energy_bound=args.energy)
-        rep = witnesses.witness_a(spec, grid, spec.modes, family=spec.label())
+        rep = witnesses.witness_a(spec, grid, spec.modes)
         err = rep.params["error"]
         rows.append(_row(rep.value, rep.threshold, rep.certified,
                          rep.value - err - rep.threshold, delta=delta, error=err))
@@ -552,7 +548,8 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (default: current)")
         p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="cap the BLAS/OpenMP thread pools")
+                       help="cap the BLAS/OpenMP thread pools (needs threadpoolctl; "
+                            "otherwise set OMP_NUM_THREADS etc. before starting)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        help="which files to write (default: both)")
         p.add_argument("--gnuplot", action="store_true",

@@ -382,8 +382,9 @@ def _untabulated(spec, where) -> ValueError:
     )
 
 
-def coherent_tail_cutoff(gamma: complex, tol: float = 1e-14) -> int:
-    """Smallest cutoff with sum_{n>cutoff} |gamma|^{2n}/n! below `tol`."""
+def coherent_tail_cutoff(gamma: complex) -> int:
+    """Smallest cutoff with sum_{n>cutoff} |gamma|^{2n}/n! below 1e-14."""
+    tol = 1e-14
     x = abs(gamma) ** 2
     if x == 0.0:
         return 0
@@ -501,8 +502,10 @@ def _w_smoothed(spec, alpha, u):
 
 
 def _w_com_wigner(spec, beta):
-    # the reduction is the matching mixture of a single photon with the vacuum
-    u = np.abs(beta) ** 2
+    # the reduction is the matching mixture of a single photon with the vacuum;
+    # |beta| is clipped at 30 so that u stays finite: exp(-2u) is already 0.0
+    # in double precision beyond |beta| = 19.3
+    u = np.minimum(np.abs(beta), 30.0) ** 2
     return (2.0 / math.pi) * np.exp(-2.0 * u) * (
         (1.0 - spec.eta) * (4.0 * u - 1.0) + spec.eta
     )

@@ -407,15 +407,15 @@ def bisect_threshold(predicate, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def monotone_boundary(predicate, lo: float, hi: float, tol: float,
-                      coarse: int = 9) -> float:
+def monotone_boundary(predicate, lo: float, hi: float, tol: float) -> float:
     """Coarse-scan a predicate for monotonicity, then bisect its boundary.
 
-    The scan must show exactly one flip; anything else is reported as a
-    NoBoundaryError rather than silently bisected.
+    The scan takes 9 evenly spaced points of [lo, hi] and must show exactly
+    one flip; anything else is reported as a NoBoundaryError rather than
+    silently bisected.
     """
     _check_tol(tol)
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, 9)
     vals = [bool(predicate(x)) for x in xs]
     flips = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
     if len(flips) != 1:

@@ -11,7 +11,7 @@ Scheme summary (M system modes throughout):
   expectation over a 2D slice, against pi/(4 sqrt(M-1)); the slice is a
   family's closed form or any vectorized callable, summed block by block
   over the disc lattice.  Carries either the rigorous per-cell
-  discretization bound (when an energy bound is supplied) or a
+  discretization bound (when the grid carries an energy bound) or a
   clearly-labelled heuristic grid-halving error.
 * ``witness_b`` - trace norm of the N x N Hermitian matrix of multiport
   parity-displacement expectations, against M/(2 sqrt(M-1)).
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,19 +87,7 @@ class WitnessReport:
     xi_points: list | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "witness": self.witness,
-            "family": self.family,
-            "params": self.params,
-            "value": self.value,
-            "threshold": self.threshold,
-            "rigorous_error": self.rigorous_error,
-            "stderr": self.stderr,
-            "certified": self.certified,
-            "n_settings": self.n_settings,
-            "seed": self.seed,
-            "xi_points": self.xi_points,
-        }
+        return asdict(self)
 
 
 def trace_norm_hermitian(mat: np.ndarray) -> float:
@@ -149,12 +137,13 @@ def build_settings_matrix(entry_fn, xi, kernel_fn=None) -> np.ndarray:
     return mat
 
 
-def distinct_settings(xi, tol: float = 1e-6) -> int:
+def distinct_settings(xi) -> int:
     """Number of distinct measured differences xi_n - xi_n' (sign-folded).
 
     A difference and its negative are one setting; the zero difference (the
-    diagonal) counts once.
+    diagonal) counts once.  Differences within 1e-6 of each other are one.
     """
+    tol = 1e-6
     xi = np.asarray(xi, dtype=complex).ravel()
     reps = []
     for a in range(xi.size):
@@ -188,18 +177,15 @@ def abs_slice_integral(slice_fn, grid: numerics.GridSpec) -> float:
         lambda x, y: np.abs(slice_fn(x + 1j * y)), grid)
 
 
-def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
-              energy_bound: float | None = None, allow_heuristic: bool = True,
-              family: str | None = None) -> WitnessReport:
+def witness_a(slice_fn, grid: numerics.GridSpec, modes: int) -> WitnessReport:
     """Absolute-integral witness on a 2D slice, via the midpoint rule.
 
-    `slice_fn` is a `FamilySpec` or a vectorized callable of complex alpha,
-    summed as in :func:`abs_slice_integral`.  With an energy bound the
-    per-cell rigorous error ledger applies; otherwise the error is estimated
-    by halving the grid spacing, and the verdict is flagged as non-rigorous.
+    `slice_fn` is a `FamilySpec` (whose label the report carries) or a
+    vectorized callable of complex alpha, summed as in
+    :func:`abs_slice_integral`.  With the grid's energy bound the per-cell
+    rigorous error ledger applies; without one the error is estimated by
+    halving the grid spacing, and the verdict is flagged as non-rigorous.
     """
-    if energy_bound is None:
-        energy_bound = grid.energy_bound
     pi_scale = (math.pi / 2.0) ** modes
 
     def integral(g):
@@ -208,16 +194,11 @@ def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
     value = integral(grid)
     threshold = slice_integral_threshold(modes)
 
-    if energy_bound is not None:
-        err = numerics.rigorous_error(grid, modes, energy_bound)
-        rigorous = True
-    elif allow_heuristic:
-        err = abs(value - integral(numerics.disc_grid(grid.delta / 2.0, grid.radius)))
-        rigorous = False
+    rigorous = grid.energy_bound is not None
+    if rigorous:
+        err = numerics.rigorous_error(grid, modes, grid.energy_bound)
     else:
-        raise ValueError(
-            "no energy bound supplied and the heuristic error path is disabled"
-        )
+        err = abs(value - integral(numerics.disc_grid(grid.delta / 2.0, grid.radius)))
 
     certified = (value - err) > threshold + GUARD
     report = WitnessReport(
@@ -225,13 +206,13 @@ def witness_a(slice_fn, grid: numerics.GridSpec, modes: int,
         value=value,
         threshold=threshold,
         certified=certified,
-        family=family,
+        family=slice_fn.label() if isinstance(slice_fn, families.FamilySpec) else None,
         params={
             "delta": grid.delta,
             "radius": grid.radius,
             "error": err,
             "error_kind": "rigorous" if rigorous else "heuristic",
-            "energy_bound": energy_bound,
+            "energy_bound": grid.energy_bound,
             "v2d": (2.0 / math.pi) * value,
             "v2d_threshold": volume_threshold(modes),
             "modes": modes,
@@ -328,7 +309,7 @@ def _displaced_parity_from_dm(rho: np.ndarray, beta: complex) -> float:
 
 
 def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
-              family: str | None = None, max_photons: int = 8) -> WitnessReport:
+              max_photons: int = 8) -> WitnessReport:
     """Collective-parity witness on the system plus M-2 ancilla modes.
 
     `state` is an M-mode Pure/MixedState and `kernel` the M-2 ancillas,
@@ -372,7 +353,6 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
         value=value,
         threshold=0.0,
         certified=value < -GUARD,
-        family=family,
         params={
             "modes": modes,
             "total_modes": total_modes,
@@ -418,11 +398,12 @@ class RandomDisplacementScheme:
 
 
 def witness_d(target, scheme: RandomDisplacementScheme, n_samples: int,
-              seed: int, family: str | None = None) -> WitnessReport:
+              seed: int) -> WitnessReport:
     """Monte-Carlo sign test of the collective parity under random shots.
 
     `target` is either a FamilySpec with a tabulated centre-of-mass Wigner
-    function or a callable giving that single-mode Wigner function directly.
+    function (whose label the report carries) or a callable giving that
+    single-mode Wigner function directly.
     Each shot displaces all modes equally by a Gaussian draw; the estimator
     certifies when mean + 3 stderr < 0.  Only the sign is certified - the
     analytic magnitude normalization is deliberately not part of the verdict.
@@ -431,10 +412,9 @@ def witness_d(target, scheme: RandomDisplacementScheme, n_samples: int,
         raise ValueError("need at least 1000 samples for a stable verdict")
     if isinstance(target, families.FamilySpec):
         com_wigner = lambda y: families.family_com_wigner(target, y)
-        if family is None:
-            family = target.label()
+        family = target.label()
     elif callable(target):
-        com_wigner = target
+        com_wigner, family = target, None
     else:
         raise TypeError("target must be a FamilySpec or a callable")
 

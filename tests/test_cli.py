@@ -313,12 +313,37 @@ def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
+_SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _fresh_python(code, *paths):
+    """stdout of `code` in a new interpreter with `paths` and src on its path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, cvgme, cvgme.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        filter(None, (*map(str, paths), str(_SRC), os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, cvgme, cvgme.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_package_import_exports_and_loads_nothing():
+    # every public name lives in its module; `import cvgme` is only the docstring
+    code = ("import sys, cvgme; "
+            "print([n for n in vars(cvgme) if not n.startswith('_')], "
+            "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('cvgme.')))")
+    assert _fresh_python(code) == "[] []"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py wraps cvgme functions by attribute name; a name
+    # that leaves src must fail here, not only in a traced benchmark run
+    modules = ("cli", "families", "gaussian_ops", "numerics", "phase_space", "witnesses")
+    code = ("import importlib, tracing; tracing.Tracer().install("
+            "{m: importlib.import_module('cvgme.' + m) for m in %r}); print('ok')"
+            % (modules,))
+    assert _fresh_python(code, _SRC.parent / "perfbench") == "ok"

@@ -2,16 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cvgme
 from cvgme import families as fam
 from cvgme import fock_core as fc
-from cvgme import numerics, phase_space as ps
+from cvgme import numerics, phase_space as ps, witnesses
 
 RNG = np.random.default_rng(20250814)
 
@@ -342,7 +342,7 @@ def test_cat_c_entry_far_out_is_finite(recwarn):
         val = fam.family_c_entry(spec, d)
         assert math.isfinite(val) and val >= 0.0
     assert len(recwarn) == 0
-    mat = cvgme.witnesses.build_settings_matrix(
+    mat = witnesses.build_settings_matrix(
         lambda d: fam.family_c_entry(spec, d), [0.0, 0.3, 120.0])
     assert np.all(np.isfinite(mat))
     assert mat[0, 2] == 0.0
@@ -543,6 +543,19 @@ def test_com_wigner_w_family():
     u = abs(y) ** 2
     expect = (2 / math.pi) * math.exp(-2 * u) * ((1 - 0.2) * (4 * u - 1) + 0.2)
     assert fam.family_com_wigner(spec, y) == pytest.approx(expect, abs=1e-12)
+
+
+def test_com_wigner_w_family_far_out():
+    # |beta| is clipped before squaring: no overflow for a huge finite point,
+    # and the same double as the unclipped formula where that is finite
+    spec = fam.w_family(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.family_com_wigner(spec, 1e300) == 0.0
+        for r in (19.0, 25.0):
+            u = np.abs(np.complex128(r)) ** 2
+            expect = (2.0 / math.pi) * np.exp(-2.0 * u) * (4.0 * u - 1.0)  # eta = 0
+            assert fam.family_com_wigner(spec, r) == expect
 
 
 _POINTS = st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2 * math.pi)),

@@ -145,9 +145,8 @@ def wstate_slice(modes):
 
 def test_witness_a_certifies_three_mode_w():
     # the rigorous ledger only leaves a certification margin on a fine grid
-    grid = num.disc_grid(0.005, 0.9)
-    rep = wit.witness_a(wstate_slice(3), grid, 3,
-                        energy_bound=fam.family_energy(fam.w_family(3)))
+    grid = num.disc_grid(0.005, 0.9, energy_bound=fam.family_energy(fam.w_family(3)))
+    rep = wit.witness_a(wstate_slice(3), grid, 3)
     assert rep.certified
     assert rep.params["error_kind"] == "rigorous"
     assert rep.rigorous_error == pytest.approx(
@@ -172,8 +171,6 @@ def test_witness_a_heuristic_path_flagged():
     assert rep.params["error_kind"] == "heuristic"
     assert rep.rigorous_error is None
     assert rep.params["heuristic_error"] < 0.02
-    with pytest.raises(ValueError):
-        wit.witness_a(wstate_slice(3), grid, 3, allow_heuristic=False)
 
 
 def test_witness_a_does_not_certify_vacuum():
@@ -224,6 +221,7 @@ def test_witness_a_family_path_matches_pointwise_sum(spec, energy, delta, radius
     want_value, want_err = pointwise_witness_a(slice_fn, grid, spec.modes, energy)
     for arg in (spec, slice_fn):
         rep = wit.witness_a(arg, grid, spec.modes)
+        assert rep.family == (spec.label() if arg is spec else None)
         assert rep.value == pytest.approx(want_value, rel=1e-13)
         if energy is None:
             assert rep.params["heuristic_error"] == pytest.approx(want_err, abs=1e-12)
@@ -513,6 +511,7 @@ def test_witness_d_w_state_mean():
         0.0, ((1.0 / 36.0, 0.0), (0.0, 1.0 / 36.0)), 3)
     rep = wit.witness_d(spec, scheme, 100_000, seed=7)
     assert rep.certified
+    assert rep.family == "w:M=3"
     # population mean of the smoothed parity at this spread is -3/8
     assert rep.value == pytest.approx(-0.375, abs=4 * rep.stderr)
     assert rep.value + 3 * rep.stderr < 0
@@ -546,6 +545,7 @@ def test_witness_d_sound_on_positive_target():
         0.0, ((1.0 / 36.0, 0.0), (0.0, 1.0 / 36.0)), 3)
     rep = wit.witness_d(gaussian, scheme, 20_000, seed=3)
     assert not rep.certified
+    assert rep.family is None
     assert rep.value > 0
 
 
