@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -374,7 +375,7 @@ def optimize_settings(objective, n_points: int, budget: OptimizerBudget,
 
 
 class NoBoundaryError(ValueError):
-    """A boolean predicate does not flip exactly once on the searched interval."""
+    """A predicate does not flip exactly once on the searched interval."""
 
 
 def _check_tol(tol: float) -> None:
@@ -383,48 +384,100 @@ def _check_tol(tol: float) -> None:
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float) -> float:
-    """Locate the flip point of a monotone boolean predicate on [lo, hi].
+    """Locate the flip point of a monotone predicate on [lo, hi].
 
-    Uses exactly two endpoint calls plus ceil(log2((hi-lo)/tol)) probes.
-    Raises NoBoundaryError when the endpoints agree.
+    The predicate returns a margin whose sign is its verdict: a value > 0 is
+    true, anything else (0, a negative value, NaN) false, and a bool counts
+    as 1 or 0.  The search probes only the 2^s + 1 points that bisection to
+    `tol` could visit, s = ceil(log2((hi-lo)/tol)), each as the float that
+    bisection's own 0.5*(lo+hi) steps give it, and ends at a one-cell bracket
+    [x_j, x_j+1] whose ends have different verdicts; it returns
+    0.5*(x_j + x_j+1).  While both bracket margins are finite and of strictly
+    opposite sign, the next probe interpolates between them by the ITP rule
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2021; kappa1 = 0.2/(hi-lo),
+    kappa2 = 2, n0 = 1); otherwise it is the bracket's midpoint, so a bool
+    predicate is probed at bisection's points in bisection's order.
+
+    When the verdicts are monotone in x the result is == to bisection's on
+    the same verdicts.  When they are not, it is still the midpoint of a
+    verified flip of bisection's width.  The search makes the two endpoint
+    calls plus at most s + 1 probes, one more than bisection's s.  Raises
+    NoBoundaryError when the endpoint verdicts agree.
     """
     _check_tol(tol)
     if hi <= lo:
         raise ValueError("need lo < hi")
-    p_lo = bool(predicate(lo))
-    p_hi = bool(predicate(hi))
-    if p_lo == p_hi:
+    m_lo = float(predicate(lo))
+    m_hi = float(predicate(hi))
+    if (m_lo > 0) == (m_hi > 0):
         raise NoBoundaryError(
             "predicate does not bracket a boundary on [%g, %g]" % (lo, hi)
         )
     steps = max(0, int(math.ceil(math.log2((hi - lo) / tol))))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if bool(predicate(mid)) == p_lo:
-            lo = mid
+    n = 1 << steps
+
+    def point(j):  # lattice index 0..n -> the float bisection computes for it
+        a, b, x_a, x_b = 0, n, lo, hi
+        while j not in (a, b):
+            mid, x_mid = (a + b) // 2, 0.5 * (x_a + x_b)
+            if j < mid:
+                b, x_b = mid, x_mid
+            else:
+                a, x_a = mid, x_mid
+        return x_a if j == a else x_b
+
+    # the bracket as lattice indices with their points and margins; a keeps
+    # the verdict of lo
+    a, b, x_a, x_b, m_a, m_b = 0, n, lo, hi, m_lo, m_hi
+    probes = 0
+    while b - a > 1:
+        p = (a + b) // 2
+        if (math.isfinite(m_a) and math.isfinite(m_b)
+                and min(m_a, m_b) < 0 < max(m_a, m_b)):
+            # regula falsi, moved kappa1 (b-a)^2 cells towards the midpoint;
+            # u is a fraction of the bracket from a
+            u_f = m_a / (m_a - m_b)
+            shift = 0.2 * ((b - a) / n)
+            u = u_f + math.copysign(shift, 0.5 - u_f) if shift <= abs(0.5 - u_f) else 0.5
+            # projected so that the bracket after probe k + 1 is at most
+            # 2^(s - k) cells wide, which bounds the probes by s + 1
+            # (a Fraction, as b - a can reach 2^1024, past the float range)
+            reach = 1 << (steps - probes)
+            p = min(max(a + round(Fraction(u) * (b - a)), a + 1, b - reach),
+                    b - 1, a + reach)
+        x_p = point(p)
+        m_p = float(predicate(x_p))
+        probes += 1
+        if (m_p > 0) == (m_lo > 0):
+            a, x_a, m_a = p, x_p, m_p
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, x_b, m_b = p, x_p, m_p
+    return 0.5 * (x_a + x_b)
 
 
 def monotone_boundary(predicate, lo: float, hi: float, tol: float) -> float:
-    """Coarse-scan a predicate for monotonicity, then bisect its boundary.
+    """Coarse-scan a predicate for monotonicity, then search its boundary.
 
-    The scan takes 9 evenly spaced points of [lo, hi] and must show exactly
-    one flip; anything else is reported as a NoBoundaryError rather than
-    silently bisected.
+    The scan takes 9 evenly spaced points of [lo, hi], reads each value as
+    `bisect_threshold` does (> 0 is true), and must show exactly one flip;
+    anything else is reported as a NoBoundaryError rather than silently
+    searched.  The search of the flipping interval reuses the scan's values
+    at its two ends.
     """
     _check_tol(tol)
-    xs = np.linspace(lo, hi, 9)
-    vals = [bool(predicate(x)) for x in xs]
-    flips = [i for i in range(len(vals) - 1) if vals[i] != vals[i + 1]]
+    xs = [float(x) for x in np.linspace(lo, hi, 9)]
+    margins = [float(predicate(x)) for x in xs]
+    flips = [i for i in range(len(xs) - 1)
+             if (margins[i] > 0) != (margins[i + 1] > 0)]
     if len(flips) != 1:
         raise NoBoundaryError(
             "predicate is not monotone on [%g, %g] (%d sign changes in the "
             "coarse scan)" % (lo, hi, len(flips))
         )
     i = flips[0]
-    return bisect_threshold(predicate, float(xs[i]), float(xs[i + 1]), tol)
+    ends = {xs[i]: margins[i], xs[i + 1]: margins[i + 1]}
+    return bisect_threshold(lambda x: ends[x] if x in ends else predicate(x),
+                            xs[i], xs[i + 1], tol)
 
 
 def _covariance_root(cov: np.ndarray) -> np.ndarray:

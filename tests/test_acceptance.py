@@ -95,13 +95,15 @@ def _cat_loss_threshold(m, gamma, radius, delta, tol):
     """Largest loss at which the quadrature volume still violates the bound."""
     thr = wit.volume_threshold(m)
 
-    def ok(eta):
+    def margin(eta):
         return cli.v2d_quadrature(fam.cat_family(m, gamma, eta=eta),
-                                  delta, radius) > thr
+                                  delta, radius) - thr
 
-    if not ok(0.0):
+    margin0 = margin(0.0)
+    if not margin0 > 0:
         return -1.0
-    return num.bisect_threshold(ok, 0.0, 0.5, tol)
+    return num.bisect_threshold(lambda eta: margin0 if eta == 0.0 else margin(eta),
+                                0.0, 0.5, tol)
 
 
 def _cat_best_gamma(m):

@@ -98,6 +98,40 @@ def test_list_is_stable_and_complete(capsys):
         assert name in first
 
 
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main() reuses one parser: no call may see an earlier call's options
+    runs = [
+        ["cat-loss", "--m", "4", "--gamma-range", "0.9", "--delta", "0.05",
+         "--tol", "0.05", "--format", "json", "--gnuplot", "--out", "out0"],
+        ["list"],
+        ["cat-loss", "--gamma-range", "0.8", "--delta", "0.05", "--tol", "0.02",
+         "--out", "out2"],
+        ["--help"],
+        ["wstate-violation", "--m-range", "3..4", "--out", "out4"],
+        ["cat-loss", "--help"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
+    for side in ("one", "fresh"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "one")
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "cvgme.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               cwd=tmp_path / "fresh")
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    for fresh_out in sorted((tmp_path / "fresh").iterdir()):
+        one_out = tmp_path / "one" / fresh_out.name
+        files = sorted(f.name for f in fresh_out.iterdir())
+        assert files == sorted(f.name for f in one_out.iterdir())
+        for name in files:
+            assert (fresh_out / name).read_bytes() == (one_out / name).read_bytes(), name
+
+
 def test_list_flags_are_the_subparser_options(capsys):
     assert cli.main(["list"]) == 0
     lines = capsys.readouterr().out.splitlines()

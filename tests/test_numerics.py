@@ -313,10 +313,10 @@ def test_bisect_threshold_step_function():
 
 
 def test_bisect_threshold_requires_bracket():
-    with pytest.raises(num.NoBoundaryError):
-        num.bisect_threshold(lambda x: True, 0.0, 1.0, 1e-3)
-    with pytest.raises(num.NoBoundaryError):
-        num.bisect_threshold(lambda x: False, 0.0, 1.0, 1e-3)
+    # a margin > 0 is true; 0, a negative margin and NaN are false
+    for margin in (True, False, 0.7, 0.0, -0.3, math.nan):
+        with pytest.raises(num.NoBoundaryError, match="does not bracket"):
+            num.bisect_threshold(lambda x: margin, 0.0, 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("search", [num.bisect_threshold, num.monotone_boundary])
@@ -336,8 +336,146 @@ def test_monotone_boundary_step():
 
 
 def test_monotone_boundary_rejects_constant():
-    with pytest.raises(num.NoBoundaryError):
-        num.monotone_boundary(lambda r: True, 0.0, 1.0, 1e-3)
+    for verdict in (True, -0.3):
+        with pytest.raises(num.NoBoundaryError):
+            num.monotone_boundary(lambda r: verdict, 0.0, 1.0, 1e-3)
+
+
+def test_monotone_boundary_reads_margins_by_sign():
+    # a margin of -0.37 is false, not a truthy number, and the scan's values
+    # at the ends of the flipping interval are not asked for again
+    calls = []
+
+    def margin(r):
+        calls.append(r)
+        return r - 0.37
+
+    got = num.monotone_boundary(margin, 0.0, 1.0, 1e-4)
+    assert got == num.monotone_boundary(lambda r: r > 0.37, 0.0, 1.0, 1e-4)
+    assert len(calls) == len(set(calls))
+
+
+def _bisection(predicate, lo, hi, tol):
+    """Bisection on the boolean verdicts: the reference the search must match."""
+    p_lo = bool(predicate(lo))
+    p_hi = bool(predicate(hi))
+    if p_lo == p_hi:
+        raise num.NoBoundaryError(
+            "predicate does not bracket a boundary on [%g, %g]" % (lo, hi))
+    for _ in range(max(0, int(math.ceil(math.log2((hi - lo) / tol))))):
+        mid = 0.5 * (lo + hi)
+        if bool(predicate(mid)) == p_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisection_points(lo, hi, tol):
+    """Every point bisection to `tol` could probe, as the floats it computes."""
+    points = [lo, hi]
+    for _ in range(max(0, int(math.ceil(math.log2((hi - lo) / tol))))):
+        mids = [0.5 * (a + b) for a, b in zip(points, points[1:])]
+        points = [x for pair in zip(points, mids) for x in pair] + [hi]
+    return points
+
+
+def _recorded(fn):
+    calls = []
+
+    def predicate(x):
+        calls.append(x)
+        return fn(x)
+
+    return predicate, calls
+
+
+@st.composite
+def _brackets(draw, max_steps=20):
+    lo = draw(st.floats(-3.0, 3.0))
+    hi = lo + draw(st.floats(1e-3, 4.0))
+    tol = (hi - lo) * 2.0 ** -draw(st.floats(0.0, max_steps))
+    return lo, hi, tol, draw(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+
+
+# margins g(d) of d = sign * (root - x), nondecreasing in d: each is monotone in x
+_MARGINS = {
+    "linear": lambda k: lambda d: k * d,
+    "smooth": lambda k: lambda d: math.expm1(k * d) + 1e-3 * d,
+    "stepped": lambda k: lambda d: float(math.floor(k * d)),
+    "plateaued": lambda k: lambda d: max(-0.5, min(0.5, k * d)),
+    "kinked": lambda k: lambda d: k * d if d > 0 else d / k,
+    "exact zeros": lambda k: lambda d: 0.0 if abs(k * d) < 0.5 else d,
+    "nan tail": lambda k: lambda d: math.nan if k * d < -0.5 else d,
+    "infinite tail": lambda k: lambda d: -math.inf if k * d < -0.5 else d,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bracket=_brackets(), shape=st.sampled_from(sorted(_MARGINS)),
+       k=st.floats(0.1, 50.0), sign=st.sampled_from([1.0, -1.0]))
+def test_bisect_threshold_equals_bisection_on_monotone_margins(bracket, shape, k, sign):
+    lo, hi, tol, root = bracket
+    g = _MARGINS[shape](k)
+    margin, calls = _recorded(lambda x: g(sign * (root - x)))
+    try:
+        expected = _bisection(lambda x: margin(x) > 0, lo, hi, tol)
+    except num.NoBoundaryError:
+        with pytest.raises(num.NoBoundaryError):
+            num.bisect_threshold(margin, lo, hi, tol)
+        return
+    bisection_calls = len(calls)
+    calls.clear()
+    assert num.bisect_threshold(margin, lo, hi, tol) == expected
+    assert len(calls) <= bisection_calls + 1
+    if bisection_calls <= 14:  # the 2^(calls - 2) + 1 lattice points are few
+        assert set(calls) <= set(_bisection_points(lo, hi, tol))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bracket=_brackets(), sign=st.sampled_from([1.0, -1.0]),
+       as_numpy=st.booleans())
+def test_bisect_threshold_probes_a_bool_predicate_as_bisection(bracket, sign, as_numpy):
+    lo, hi, tol, root = bracket
+    verdict = (lambda x: np.bool_(sign * (root - x) > 0)) if as_numpy else (
+        lambda x: sign * (root - x) > 0)
+    reference, expected_calls = _recorded(verdict)
+    predicate, calls = _recorded(verdict)
+    try:
+        expected = _bisection(reference, lo, hi, tol)
+    except num.NoBoundaryError:
+        with pytest.raises(num.NoBoundaryError):
+            num.bisect_threshold(predicate, lo, hi, tol)
+    else:
+        assert num.bisect_threshold(predicate, lo, hi, tol) == expected
+    assert calls == expected_calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bracket=_brackets(max_steps=12), k=st.floats(1.0, 200.0),
+       phase=st.floats(0.0, 2 * math.pi), bias=st.floats(-0.9, 0.9))
+def test_bisect_threshold_on_a_non_monotone_margin_returns_a_flip(bracket, k, phase,
+                                                                   bias):
+    lo, hi, tol, _ = bracket
+    verdict = lambda x: math.sin(k * x + phase) + bias > 0
+    assume(verdict(lo) != verdict(hi))
+    margin, calls = _recorded(lambda x: math.sin(k * x + phase) + bias)
+    got = num.bisect_threshold(margin, lo, hi, tol)
+    points = _bisection_points(lo, hi, tol)
+    flips = [0.5 * (a + b) for a, b in zip(points, points[1:]) if verdict(a) != verdict(b)]
+    assert got in flips
+    assert set(calls) <= set(points)
+    assert len(calls) <= 2 + max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, 0.0), (0.0, -math.inf)])
+def test_bisect_threshold_rejects_an_empty_interval(lo, hi):
+    def predicate(x):
+        raise AssertionError("the predicate ran before the interval was checked")
+
+    with pytest.raises(ValueError, match="lo < hi") as exc:
+        num.bisect_threshold(predicate, lo, hi, 1e-3)
+    assert not isinstance(exc.value, num.NoBoundaryError)
 
 
 # ---------------------------------------------------------------------------
