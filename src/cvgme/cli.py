@@ -81,6 +81,8 @@ def parse_range(text: str):
         if len(parts) != 3:
             raise CliError("range must be start:stop:step, got %r" % text)
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise CliError("range bounds and step must be finite, got %r" % text)
         if step <= 0:
             raise CliError("range step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -9,20 +9,16 @@ Displacements use the whole number-basis matrix <m|D(beta)|n> from
 normalized Laguerre function of |beta|^2, built by its three-term recurrence
 in n, which never forms the factorial ratios or powers of beta that overflow
 or underflow; elements are exact at any truncation, unlike exponentiating a
-truncated ladder operator.  Multiport beamsplitters act by multinomial
-expansion of creation operators; amplitude damping by per-mode Kraus
-branching.
-
-The balanced multiport +/-(I - (2/M)J) implements the parity of the
-centre-of-mass mode: conjugation sends a_m to +/-(1-2/M)a_m -/+ (2/M) times
-the sum of the others, and the vacuum is left invariant.
+truncated ladder operator.  A linear-optical unitary acts by rebuilding each
+occupied basis state from creation operators on the dense array; amplitude
+damping branches per mode into Kraus terms and merges proportional branches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,12 +33,11 @@ from .fock_core import (
     total_photons,
 )
 
-# photon-number ceiling of the brute-force reference path: the multinomial
-# expansion of apply_linear_optical and the centre-of-mass moments of
-# witness_c grow combinatorially with it
+# photon-number ceiling of the brute-force reference path: the basis states
+# apply_linear_optical rebuilds and the centre-of-mass moments of witness_c
+# grow combinatorially with it
 DEFAULT_PHOTON_BUDGET = 8
 
-TRUNCATION_TOL = 1e-10
 NORM_LOSS_LIMIT = 1e-6
 
 # e^(-|beta|^2/2) = <0|D(beta)|0> leaves the normal double range beyond this
@@ -143,73 +138,27 @@ def apply_displacement(state: PureState, betas) -> PureState:
     return out
 
 
-def beamsplitter_matrix(modes: int, sign=1) -> np.ndarray:
-    """The balanced multiport +/-(I - (2/M)J), J the all-ones matrix.
-
-    `sign` may be +1/-1 or the strings '+'/'-'.  The result is real
-    orthogonal, symmetric, and involutory.
-    """
-    if isinstance(sign, str):
-        if sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
-        sign = 1 if sign == "+" else -1
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if modes < 2:
-        raise DimensionError("multiport needs at least 2 modes")
-    mat = np.eye(modes) - (2.0 / modes) * np.ones((modes, modes))
-    return sign * mat
-
-
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def _linear_power(column: np.ndarray, power: int, modes: int) -> dict:
-    """Expand (sum_j column[j] b_j^dagger)^power over occupation tuples.
-
-    Returns occupation tuple -> coefficient of prod_j (b_j^dagger)^{k_j}.
-    """
-    out = {}
-    if power == 0:
-        out[(0,) * modes] = 1.0 + 0.0j
-        return out
-    for comp in _compositions(power, modes):
-        coeff = math.factorial(power)
-        ok = True
-        term = 1.0 + 0.0j
-        for j, k in enumerate(comp):
-            if k == 0:
-                continue
-            c = column[j]
-            if c == 0:
-                ok = False
-                break
-            coeff /= math.factorial(k)
-            term *= c**k
-        if ok:
-            out[comp] = coeff * term
+def _create(psi: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """SUM_m column[m] a_m^dagger psi on a dense array whose top level is empty."""
+    out = np.zeros_like(psi)
+    up = np.sqrt(np.arange(1, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
+    for axis, c in enumerate(column):
+        if c != 0:
+            np.moveaxis(out, axis, 0)[1:] += c * up * np.moveaxis(psi, axis, 0)[:-1]
     return out
 
 
 def apply_linear_optical(
     unitary: np.ndarray, state: PureState, max_photons: int = DEFAULT_PHOTON_BUDGET
 ) -> PureState:
-    """Apply a linear-optical unitary by multinomial expansion.
+    """Apply a linear-optical unitary by its action on creation operators.
 
-    Each creation operator a_m^dagger is rewritten as
-    sum_m' U[m', m] a_m'^dagger and the product over occupied modes is
-    expanded.  Photon number is conserved exactly.  States above the photon
-    budget are refused (cost grows combinatorially); raise the budget
-    explicitly for known-slow reference checks.
+    Each occupied basis state PROD_m (a_m^dagger)^n_m / sqrt(n_m!) |0> is
+    rebuilt one photon at a time on the dense array, with a_m^dagger
+    rewritten as SUM_m' U[m', m] a_m'^dagger.  Photon number is conserved
+    exactly.  States above the photon budget are refused (cost grows
+    combinatorially); raise the budget explicitly for known-slow reference
+    checks.
     """
     unitary = np.asarray(unitary, dtype=complex)
     modes = state.modes
@@ -226,42 +175,16 @@ def apply_linear_optical(
             % (n_tot, max_photons)
         )
 
-    power_cache = {}
-
-    def powers(mode: int, p: int) -> dict:
-        key = (mode, p)
-        got = power_cache.get(key)
-        if got is None:
-            got = _linear_power(unitary[:, mode], p, modes)
-            power_cache[key] = got
-        return got
-
-    out_cut = max(state.cutoff, n_tot)
-    check_dense_size((out_cut + 1,) * modes)
-    out = np.zeros((out_cut + 1,) * modes, dtype=complex)
+    shape = (max(state.cutoff, n_tot) + 1,) * modes
+    check_dense_size(shape)
+    out = np.zeros(shape, dtype=complex)
     for key in map(tuple, np.argwhere(state.amps).tolist()):
-        # amplitude -> polynomial coefficient on prod (a^dagger)^n |0>
-        coeff = state.amps[key]
-        for n in key:
-            coeff /= math.sqrt(math.factorial(n))
-        # product over modes of expanded powers
-        acc = {(0,) * modes: coeff}
+        psi = np.zeros(shape, dtype=complex)
+        psi[(0,) * modes] = state.amps[key] / math.sqrt(math.prod(map(math.factorial, key)))
         for mode, n in enumerate(key):
-            if n == 0:
-                continue
-            factor = powers(mode, n)
-            nxt = {}
-            for occ_a, ca in acc.items():
-                for occ_b, cb in factor.items():
-                    occ = tuple(x + y for x, y in zip(occ_a, occ_b))
-                    nxt[occ] = nxt.get(occ, 0.0) + ca * cb
-            acc = nxt
-        for occ, c in acc.items():
-            # coefficient -> amplitude
-            val = c
-            for n in occ:
-                val *= math.sqrt(math.factorial(n))
-            out[occ] += val
+            for _ in range(n):
+                psi = _create(psi, unitary[:, mode])
+        out += psi
 
     out[np.abs(out) <= 1e-16] = 0.0
     top = int(np.argwhere(out).max(initial=0))
@@ -269,18 +192,15 @@ def apply_linear_optical(
 
 
 def _canonical_branch(state: PureState):
-    """Phase-fixed fingerprint used to merge proportional Kraus branches."""
+    """The normalized, phase-fixed branch and the key that merges proportional ones.
+
+    The key is the branch rounded to 10 decimals; adding 0.0 turns -0.0 into
+    0.0, so that rounding noise around zero cannot split equal branches.
+    """
     st = normalize(state)
-    keys = np.argwhere(st.amps)
-    phase = st.amps[tuple(keys[0])]
-    phase /= abs(phase)
-    fixed = st.amps / phase
-    fingerprint = tuple(
-        (k, round(v.real, 10), round(v.imag, 10))
-        for k, v in zip(map(tuple, keys.tolist()), fixed[tuple(keys.T)].tolist())
-        if abs(v) > 1e-12
-    )
-    return fingerprint, PureState(fixed)
+    phase = st.amps[tuple(np.argwhere(st.amps)[0])]
+    fixed = st.amps / (phase / abs(phase))
+    return (np.round(fixed, 10) + 0.0).tobytes(), PureState(fixed)
 
 
 def apply_amplitude_damping(state, eta: float) -> MixedState:
@@ -304,8 +224,8 @@ def apply_amplitude_damping(state, eta: float) -> MixedState:
 
     for w_in, pure in branches_in:
         dim = pure.cutoff + 1
-        max_loss = tuple(np.argwhere(pure.amps).max(axis=0, initial=0).tolist())
-        for loss_vec in _compositions_upto(max_loss):
+        max_loss = np.argwhere(pure.amps).max(axis=0, initial=0).tolist()
+        for loss_vec in itertools.product(*(range(k + 1) for k in max_loss)):
             factor = np.ones(())
             for k in loss_vec:
                 factor = np.multiply.outer(factor, [
@@ -319,27 +239,14 @@ def apply_amplitude_damping(state, eta: float) -> MixedState:
             weight = w_in * branch.norm_sq()
             if weight < 1e-15:
                 continue
-            fingerprint, canonical = _canonical_branch(branch)
-            if fingerprint in merged:
-                merged[fingerprint] = (merged[fingerprint][0] + weight, canonical)
-            else:
-                merged[fingerprint] = (weight, canonical)
+            key, canonical = _canonical_branch(branch)
+            merged[key] = (merged.get(key, (0.0, None))[0] + weight, canonical)
 
     total = sum(w for w, _ in merged.values())
     out = tuple(
         (w / total, st) for w, st in sorted(merged.values(), key=lambda p: -p[0])
     )
     return MixedState(out)
-
-
-def _compositions_upto(bounds):
-    """All loss vectors 0 <= k_m <= bounds[m]."""
-    if not bounds:
-        yield ()
-        return
-    for first in range(bounds[0] + 1):
-        for rest in _compositions_upto(bounds[1:]):
-            yield (first,) + rest
 
 
 def parity_expectation(state) -> float:

@@ -462,9 +462,12 @@ def monotone_boundary(predicate, lo: float, hi: float, tol: float) -> float:
     `bisect_threshold` does (> 0 is true), and must show exactly one flip;
     anything else is reported as a NoBoundaryError rather than silently
     searched.  The search of the flipping interval reuses the scan's values
-    at its two ends.
+    at its two ends.  Raises ValueError, before any predicate call, unless
+    lo < hi.
     """
     _check_tol(tol)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
     xs = [float(x) for x in np.linspace(lo, hi, 9)]
     margins = [float(predicate(x)) for x in xs]
     flips = [i for i in range(len(xs) - 1)

@@ -40,7 +40,7 @@ from .fock_core import (
     check_dense_size,
     tensor,
 )
-from .gaussian_ops import displacement_matrix
+from .gaussian_ops import DEFAULT_PHOTON_BUDGET, displacement_matrix
 
 # not called here, but perfbench/tracing.py patches these names on this module
 from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # noqa: F401
@@ -309,7 +309,7 @@ def _displaced_parity_from_dm(rho: np.ndarray, beta: complex) -> float:
 
 
 def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
-              max_photons: int = 8) -> WitnessReport:
+              max_photons: int = DEFAULT_PHOTON_BUDGET) -> WitnessReport:
     """Collective-parity witness on the system plus M-2 ancilla modes.
 
     `state` is an M-mode Pure/MixedState and `kernel` the M-2 ancillas,
@@ -336,12 +336,7 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
             for a in anc:
                 joint = tensor(joint, a)
             joint_branches.append((weight, joint))
-        joint_state = (
-            joint_branches[0][1]
-            if len(joint_branches) == 1 and joint_branches[0][0] == 1.0
-            else MixedState(tuple(joint_branches))
-        )
-        rho_plus = _com_density_matrix(joint_state, max_photons)
+        rho_plus = _com_density_matrix(MixedState(tuple(joint_branches)), max_photons)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             "%s; for larger systems use the tabulated closed forms "

@@ -62,7 +62,8 @@ def test_parse_int_range_inclusive():
     assert cli.parse_int_range("5..5") == [5]
 
 
-@pytest.mark.parametrize("text", ["", "1:2", "1:2:0", "a..b", "3..", "2..1"])
+@pytest.mark.parametrize("text", ["", "1:2", "1:2:0", "a..b", "3..", "2..1",
+                                  "0.2:inf:0.1", "0.2:nan:0.1", "-inf:1:0.1", "0:1:inf"])
 def test_parse_range_rejects_malformed(text):
     with pytest.raises((cli.CliError, ValueError)):
         cli.parse_int_range(text) if ".." in text else cli.parse_range(text)
@@ -341,6 +342,11 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
      "alpha must be finite"),
     (["mc-witness4", "--alpha", "infj", "--shots", "2000", "--seed", "1"],
      "alpha must be finite"),
+    (["kernel-scan", "--s-range", "0.2:inf:0.1"], "range bounds and step must be finite"),
+    (["rmin-scan", "--m", "3", "--eta-range", "0.45", "--r-lo", "3", "--r-hi", "0.2"],
+     "need lo < hi"),
+    (["rmin-scan", "--m", "3", "--eta-range", "0.1", "--r-lo", "3", "--r-hi", "0.2"],
+     "need lo < hi"),
 ])
 def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1

@@ -3,11 +3,13 @@
 The displacement matrix elements are compared against a dense matrix
 exponential of beta*adag - conj(beta)*a, which is an independent route to
 the same operator, and against 60-digit mpmath values of the Laguerre closed
-form where double-precision closed forms break down.  Property tests check
-the dense characteristic and Wigner points of random few-photon states
-against the same matrix exponential.
+form where double-precision closed forms break down.  Linear optics on Fock
+inputs is compared against matrix permanents.  Property tests check the
+dense characteristic and Wigner points of random few-photon states against
+the same matrix exponential.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -129,27 +131,6 @@ def test_cutoff_error_on_unrepresentable_displacement():
         go.apply_displacement(fc.fock_state((12,)), 2.5)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 8, 16])
-def test_beamsplitter_matrix_unitary_involution(m):
-    for sign in (+1, -1):
-        u = go.beamsplitter_matrix(m, sign)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(m), atol=1e-12)
-        # the multiport is its own inverse
-        np.testing.assert_allclose(u @ u, np.eye(m), atol=1e-12)
-
-
-def test_beamsplitter_matrix_sign_row():
-    u = go.beamsplitter_matrix(3, "+")
-    np.testing.assert_allclose(u, np.eye(3) - (2.0 / 3.0) * np.ones((3, 3)),
-                               atol=1e-15)
-    np.testing.assert_allclose(go.beamsplitter_matrix(3, "-"), -u, atol=1e-15)
-
-
-def test_beamsplitter_needs_two_modes():
-    with pytest.raises(fc.DimensionError):
-        go.beamsplitter_matrix(1)
-
-
 def test_apply_linear_optical_two_mode_hong_ou_mandel():
     # 50:50 splitter on |1,1> kills the coincidence term
     u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -160,7 +141,7 @@ def test_apply_linear_optical_two_mode_hong_ou_mandel():
 
 
 def test_apply_linear_optical_preserves_norm_and_photons():
-    u = go.beamsplitter_matrix(4, -1)
+    u = 0.5 * np.ones((4, 4)) - np.eye(4)  # the balanced multiport -(I - (2/M)J)
     st = fc.fock_state((2, 1, 0, 1))
     out = go.apply_linear_optical(u, st)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -175,8 +156,51 @@ def test_apply_linear_optical_rejects_nonunitary():
 def test_apply_linear_optical_budget():
     with pytest.raises(go.ResourceLimitError):
         go.apply_linear_optical(
-            go.beamsplitter_matrix(2), fc.fock_state((5, 5)), max_photons=8
+            np.array([[0.0, -1.0], [-1.0, 0.0]]), fc.fock_state((5, 5)), max_photons=8
         )
+
+
+def _permanent(mat):
+    n = mat.shape[0]
+    return sum(math.prod(mat[i, p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def _occupied_modes(occupation):
+    """Mode indices, each repeated by its photon count."""
+    return [m for m, n in enumerate(occupation) for _ in range(n)]
+
+
+@st.composite
+def _unitary_and_fock_input(draw):
+    """A random unitary (QR of a complex Gaussian) and a Fock input of <= 4 photons."""
+    modes = draw(st.integers(1, 4))
+    occupation = []
+    for _ in range(modes):
+        occupation.append(draw(st.integers(0, 4 - sum(occupation))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(modes, modes))
+                        + 1j * rng.normal(size=(modes, modes)))
+    return q, tuple(draw(st.permutations(occupation)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_unitary_and_fock_input())
+def test_apply_linear_optical_matches_permanents(case):
+    # <m|U|n> = perm(U[rows m, cols n]) / sqrt(PROD n_i! PROD m_j!)
+    # (Scheel, arXiv:quant-ph/0406127)
+    u, occupation = case
+    photons = sum(occupation)
+    got = go.apply_linear_optical(u, fc.fock_state(occupation)).with_cutoff(photons)
+    cols = _occupied_modes(occupation)
+    norm_in = math.prod(map(math.factorial, occupation))
+    want = np.zeros(got.amps.shape, dtype=complex)
+    for out in np.ndindex(want.shape):
+        if sum(out) == photons:
+            sub = u[np.ix_(_occupied_modes(out), cols)]
+            want[out] = _permanent(sub) / math.sqrt(
+                norm_in * math.prod(map(math.factorial, out)))
+    np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-12)
 
 
 def test_amplitude_damping_single_photon():

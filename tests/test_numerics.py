@@ -341,6 +341,16 @@ def test_monotone_boundary_rejects_constant():
             num.monotone_boundary(lambda r: verdict, 0.0, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("lo,hi", [(3.0, 0.2), (0.5, 0.5), (math.nan, 1.0)])
+def test_monotone_boundary_rejects_empty_range_before_scanning(lo, hi):
+    def predicate(r):
+        raise AssertionError("the predicate ran before the range was checked")
+
+    with pytest.raises(ValueError, match="need lo < hi") as exc:
+        num.monotone_boundary(predicate, lo, hi, 1e-3)
+    assert not isinstance(exc.value, num.NoBoundaryError)
+
+
 def test_monotone_boundary_reads_margins_by_sign():
     # a margin of -0.37 is false, not a truthy number, and the scan's values
     # at the ends of the flipping interval are not asked for again

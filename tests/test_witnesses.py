@@ -439,7 +439,7 @@ def _reflection_com_density(state):
     """Centre-of-mass density matrix through a multiport reflection.
 
     A real reflection sends mode 0 onto the uniform centre-of-mass mode; the
-    state is pushed through it by multinomial expansion and mode 0 is kept.
+    state is pushed through it by creation operators and mode 0 is kept.
     This route shares nothing with the moment construction of the witness.
     """
     modes = state.modes
