@@ -67,6 +67,15 @@ class ExperimentResult:
         return any(bool(r.get("certified")) for r in self.rows)
 
 
+#: Most points one parsed range may hold, checked before any is listed.
+MAX_RANGE_POINTS = 10**6
+
+
+def _too_many_points(text: str, points: str) -> CliError:
+    return CliError("range %r has %s points, more than the limit of %d"
+                    % (text, points, MAX_RANGE_POINTS))
+
+
 def parse_range(text: str):
     """Parse `start:stop:step` (inclusive, floats) or `lo..hi` (inclusive ints)."""
     text = text.strip()
@@ -75,6 +84,8 @@ def parse_range(text: str):
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise CliError("empty integer range %r" % text)
+        if hi_i - lo_i >= MAX_RANGE_POINTS:
+            raise _too_many_points(text, "%d" % (hi_i - lo_i + 1))
         return [float(k) for k in range(lo_i, hi_i + 1)]
     if ":" in text:
         parts = text.split(":")
@@ -85,7 +96,10 @@ def parse_range(text: str):
             raise CliError("range bounds and step must be finite, got %r" % text)
         if step <= 0:
             raise CliError("range step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9  # a float, so a huge range gives inf
+        if span >= MAX_RANGE_POINTS:
+            raise _too_many_points(text, "%.4g" % (span + 1.0))
+        count = int(math.floor(span)) + 1
         if count < 1:
             raise CliError("empty range %r" % text)
         return [start + k * step for k in range(count)]

@@ -33,7 +33,6 @@ exact mixture with the vacuum), never by Kraus enumeration at large M.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -132,8 +131,14 @@ def _gamma_text(g) -> str:
 
 _ETA = Param("eta", "eta", float, 0.0, lambda v: "%g" % v if v else None,
              lambda v: 0.0 <= v <= 1.0, "loss parameter must lie in [0, 1]")
-_GAMMA = Param("gamma", "gamma", complex, 1, _gamma_text, cmath.isfinite,
-               "coherent amplitude must be finite")
+def _finite_intensity(g) -> bool:
+    # a product overflows to inf where abs(g) ** 2 would raise
+    r = math.hypot(g.real, g.imag)
+    return math.isfinite(r * r)
+
+
+_GAMMA = Param("gamma", "gamma", complex, 1, _gamma_text, _finite_intensity,
+               "coherent amplitude must be finite, with a finite |gamma|^2")
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,10 @@ def parse_family(text: str) -> FamilySpec:
             key, sep, val = part.partition("=")
             if not sep:
                 raise ValueError("malformed family parameter %r" % part)
-            kwargs[key.strip().lower()] = val.strip()
+            key = key.strip().lower()
+            if key in kwargs:
+                raise ValueError("family parameter %r is given twice in %r" % (key, text))
+            kwargs[key] = val.strip()
     try:
         record = FAMILIES.get(tag)
         if record is None:
@@ -257,9 +265,9 @@ class AncillaKind:
     Its parameter must pass `valid` (None: the kind takes none), or the
     kernel is rejected with the message `rule`; `store(*params)` is the
     ancilla tuple kept.  `chi(out, xi, u, *params)` is `out` times the
-    characteristic function at xi, with u = |xi|^2, and `fock(cutoff,
-    *params)` the single-mode state at a cutoff of at least `cutoff` (None:
-    the kind has no truncated-Fock form).
+    characteristic function at xi, with u = |xi|^2, and `fock(*params)` the
+    single-mode state at its own cutoff (None: the kind has no truncated-Fock
+    form).
     """
 
     name: str
@@ -286,12 +294,12 @@ _FOCK1 = ("fock", 1)
 # the record table: one entry per ancilla kind
 ANCILLAS = {kind.name: kind for kind in (
     AncillaKind("vacuum", None, "takes no parameter", lambda: _VACUUM,
-                lambda out, xi, u: out * np.exp(-0.5 * u), lambda cutoff: vacuum(1, cutoff)),
+                lambda out, xi, u: out * np.exp(-0.5 * u), lambda: vacuum(1)),
     AncillaKind("fock", lambda n: _is_int(n) and n >= 0,
                 "the Fock index must be an integer >= 0",
                 lambda n: ("fock", int(n)) if n else _VACUUM,  # |0> is the vacuum
                 lambda out, xi, u, n: out * np.exp(-0.5 * u) * _laguerre(n, u),
-                lambda cutoff, n: fock_state((n,), max(cutoff, n))),
+                lambda n: fock_state((n,))),
     AncillaKind("squeezed", lambda s: (isinstance(s, numbers.Real) and not isinstance(s, bool)
                                        and 0.0 < s < math.inf),
                 "the squeezing must be finite and positive", lambda s: ("squeezed", float(s)),
@@ -339,13 +347,13 @@ class KernelSpec:
                 % (len(self.ancillas), modes - 2)
             )
 
-    def fock_states(self, cutoff: int) -> list:
-        """The ancillas as single-mode states at cutoffs >= `cutoff`; squeezed ones raise."""
+    def fock_states(self) -> list:
+        """The ancillas as single-mode states, each at its own cutoff; squeezed ones raise."""
         for name, *_ in self.ancillas:
             if ANCILLAS[name].fock is None:
                 raise ValueError("%s ancillas have no truncated-Fock oracle; they are "
                                  "supported by the kernel-matrix witness only" % name)
-        return [ANCILLAS[name].fock(cutoff, *params) for name, *params in self.ancillas]
+        return [ANCILLAS[name].fock(*params) for name, *params in self.ancillas]
 
 
 def vacuum_kernel(count: int) -> KernelSpec:
@@ -410,18 +418,14 @@ def _cat_pure(modes: int, gamma: complex, sign: int, cutoff: int) -> PureState:
     return normalize(PureState(amps))
 
 
-def _table_state(modes: int, table, cutoff: int | None) -> PureState:
-    """The state with amplitude `amp` at occupation `occ` for each (occ, amp) in `table`.
-
-    Its cutoff is the highest occupied level unless `cutoff` is given.
-    """
+def _table_state(modes: int, table) -> PureState:
+    """The state with amplitude `amp` at occupation `occ` for each (occ, amp) in `table`."""
     top = max(max(occ) for occ, _ in table)
     check_dense_size((top + 1,) * modes)
     amps = np.zeros((top + 1,) * modes, dtype=complex)
     for occ, amp in table:
         amps[occ] = amp
-    state = PureState(amps)
-    return state if cutoff is None else state.with_cutoff(cutoff)
+    return PureState(amps)
 
 
 def _single_occupations(modes: int, n: int):
@@ -465,13 +469,13 @@ def _radial_envelope(a, scale, coeffs) -> GaussianEnvelope:
 
 
 # w: a single excitation shared over M modes, with per-mode loss eta
-def _w_fock(spec, cutoff):
+def _w_fock(spec):
     m = spec.modes
     amp = 1.0 / math.sqrt(m)
-    pure = _table_state(m, [(occ, amp) for occ in _single_occupations(m, 1)], cutoff)
+    pure = _table_state(m, [(occ, amp) for occ in _single_occupations(m, 1)])
     if spec.eta == 0.0:
         return pure
-    return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m, pure.cutoff))))
+    return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m))))
 
 
 def _w_slice(spec, p):
@@ -521,12 +525,11 @@ def _w_v2d(spec):
 
 
 # cat: |gamma>^M + |-gamma>^M, with per-mode loss eta
-def _cat_fock(spec, cutoff):
+def _cat_fock(spec):
     m, gamma = spec.modes, spec.gamma
     if gamma == 0:
         raise ValueError("cat family needs a nonzero coherent amplitude")
-    if cutoff is None:
-        cutoff = coherent_tail_cutoff(gamma)
+    cutoff = coherent_tail_cutoff(gamma)
     if spec.eta == 0.0:
         return _cat_pure(m, gamma, +1, cutoff)
     # exact rank-2 decomposition of the damped cat
@@ -603,12 +606,12 @@ def _cat_energy(spec) -> float:
 
 
 # dicke2: two excitations shared symmetrically over M modes
-def _dicke2_fock(spec, cutoff):
+def _dicke2_fock(spec):
     m = spec.modes
     amp = math.sqrt(2.0 / (m * (m - 1)))
     pairs = [tuple(1 if j in (a, b) else 0 for j in range(m))
              for a in range(m) for b in range(a + 1, m)]
-    return _table_state(m, [(occ, amp) for occ in pairs], cutoff)
+    return _table_state(m, [(occ, amp) for occ in pairs])
 
 
 def _dicke2_slice(spec, p):
@@ -641,10 +644,9 @@ def _dicke2_v2d(spec) -> float:
 
 
 # noon3: (|N00> + |0N0> + |00N>)/sqrt(3)
-def _noon3_fock(spec, cutoff):
+def _noon3_fock(spec):
     return _table_state(
-        3, [(occ, 1.0 / _SQ3) for occ in _single_occupations(3, spec.n_photons)], cutoff
-    )
+        3, [(occ, 1.0 / _SQ3) for occ in _single_occupations(3, spec.n_photons)])
 
 
 def _noon3_vacuum_at_origin(spec) -> float:
@@ -658,8 +660,8 @@ def _noon3_fock1_at_origin(spec) -> float:
 
 
 # psi1, psi2: three-mode asymmetric superpositions (amplitude tables above)
-def _amps_fock(table, spec, cutoff):
-    return _table_state(spec.modes, table.items(), cutoff)
+def _amps_fock(table, spec):
+    return _table_state(spec.modes, table.items())
 
 
 _PSI1_A = 16.0 + 3.0 * _SQ23
@@ -719,12 +721,12 @@ def _psi2_smoothed(spec, alpha, u):
 
 # psi4, psi5: two permutation orbits, weighed equally, each a uniform
 # superposition of the distinct permutations of its occupations
-def _orbits_fock(orbits, spec, cutoff):
+def _orbits_fock(orbits, spec):
     table = []
     for occ in orbits:
         perms = sorted(set(permutations(occ)))
         table += [(key, 1.0 / math.sqrt(2.0 * len(perms))) for key in perms]
-    return _table_state(spec.modes, table, cutoff)
+    return _table_state(spec.modes, table)
 
 
 def _origin_smoothed(value, spec, alpha, u):
@@ -790,15 +792,15 @@ def _capability(spec: FamilySpec, name: str):
 
 # public lookups: witnesses and cli call these through the module, where
 # perfbench/tracing.py patches them
-def family_fock_expansion(spec: FamilySpec, cutoff: int | None = None):
+def family_fock_expansion(spec: FamilySpec):
     """Exact truncated-Fock representation of the family member.
 
     Returns a PureState for lossless members and a MixedState otherwise.
-    Photon-number eigenstates are exact; cat states carry a coherent tail
-    below 1e-14 at the default cutoff; the other families default to their
-    highest occupied level.
+    Each carries its own cutoff: photon-number eigenstates are exact at their
+    highest occupied level, and cats are cut where the coherent tail falls
+    below 1e-14.  `fock_core` pads a state when it meets another.
     """
-    return _capability(spec, "fock")(spec, cutoff)
+    return _capability(spec, "fock")(spec)
 
 
 # not called in src, but perfbench/tracing.py patches this name

@@ -10,6 +10,9 @@ before it is allocated.
 Mixed states are stored as weighted ensembles of pure states rather than
 density matrices; every mixture needed here (loss channels on small
 superpositions) has very low rank.
+
+Each state carries its own cutoff.  Products and mixtures zero-pad their
+factors and branches to the largest cutoff among them, which is exact.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class NullStateError(ValueError):
 
 
 class DimensionError(ValueError):
-    """Raised on mode-count or cutoff mismatches between states."""
+    """Raised on mode-count mismatches and on levels a cutoff cannot hold."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -95,6 +98,8 @@ class PureState:
 
         Growing pads with zeros; shrinking below an occupied level raises.
         """
+        if cutoff == self.cutoff:
+            return self
         if cutoff < self.cutoff:
             top = int(np.argwhere(self.amps).max(initial=0))
             if top > cutoff:
@@ -109,7 +114,7 @@ class MixedState:
     """A statistical mixture: list of (weight, PureState) branches.
 
     Weights must be nonnegative and sum to 1 within 1e-12; branches share the
-    same mode count and cutoff.
+    same mode count, and each is zero-padded to the largest cutoff among them.
     """
 
     branches: tuple
@@ -119,18 +124,17 @@ class MixedState:
         if not branches:
             raise NullStateError("mixture with no branches")
         modes = branches[0][1].modes
-        cutoff = branches[0][1].cutoff
         total = 0.0
         for w, st in branches:
             if w < -1e-15:
                 raise ValueError("negative branch weight %g" % w)
             if st.modes != modes:
                 raise DimensionError("branches disagree on mode count")
-            if st.cutoff != cutoff:
-                raise DimensionError("branches disagree on cutoff")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError("branch weights sum to %.15g, expected 1" % total)
+        cutoff = max(st.cutoff for _, st in branches)
+        branches = tuple((w, st.with_cutoff(cutoff)) for w, st in branches)
         object.__setattr__(self, "branches", branches)
 
     @property
@@ -140,9 +144,6 @@ class MixedState:
     @property
     def cutoff(self) -> int:
         return self.branches[0][1].cutoff
-
-    def with_cutoff(self, cutoff: int) -> "MixedState":
-        return MixedState(tuple((w, st.with_cutoff(cutoff)) for w, st in self.branches))
 
 
 def as_ensemble(state):
@@ -182,14 +183,11 @@ def inner_product(a: PureState, b: PureState) -> complex:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; mode count adds, amplitudes multiply."""
-    if a.cutoff != b.cutoff:
-        raise DimensionError(
-            "cutoff mismatch in tensor: %d vs %d (use with_cutoff to align)"
-            % (a.cutoff, b.cutoff)
-        )
-    check_dense_size((a.cutoff + 1,) * (a.modes + b.modes))
-    return PureState(np.multiply.outer(a.amps, b.amps))
+    """Tensor product; mode count adds, amplitudes multiply, the lower cutoff is padded."""
+    cutoff = max(a.cutoff, b.cutoff)
+    check_dense_size((cutoff + 1,) * (a.modes + b.modes))
+    return PureState(np.multiply.outer(a.with_cutoff(cutoff).amps,
+                                       b.with_cutoff(cutoff).amps))
 
 
 def mean_photon_number(state) -> float:

@@ -142,6 +142,7 @@ def midpoint_lattice_integral(fn, grid: GridSpec, point_even: bool = False,
     twice: `point_even` (fn(-x, -y) = fn(x, y)) keeps the rows n_R >= 0,
     `conj_even` (fn(x, -y) = fn(x, y)) the columns n_I >= 0.  The cells
     and their weights in the sum are unchanged; only its order differs.
+    A sum that is not finite raises ValueError.
     """
     rows, k = grid._rows()
     nmax = int(rows[-1])  # rows[nmax] is row 0
@@ -157,13 +158,17 @@ def midpoint_lattice_integral(fn, grid: GridSpec, point_even: bool = False,
             continue
         cols = slice(nmax if conj_even else nmax - width, nmax + width + 1)
         x, y = rows[i : i + step, None] * grid.delta, rows[None, cols] * grid.delta
-        vals = np.asarray(fn(x, y))
+        with np.errstate(over="ignore", invalid="ignore"):  # the sum is checked below
+            vals = np.asarray(fn(x, y))
         if vals.shape != (x.size, y.size):
             raise ValueError("the integrand returned shape %r for a lattice block of "
                              "shape %r" % (vals.shape, (x.size, y.size)))
         vals = np.where(np.abs(rows[None, cols]) <= half[:, None], vals, 0.0)
         total += row_w[i : i + step] @ vals @ col_w[cols]
-    return float(grid.delta * grid.delta * total)
+    total = float(grid.delta * grid.delta * total)
+    if not math.isfinite(total):
+        raise ValueError("the lattice sum at delta=%g is %r, not finite" % (grid.delta, total))
+    return total
 
 
 @dataclass(frozen=True)

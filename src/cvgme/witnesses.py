@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -322,21 +323,13 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
     if modes < 3:
         raise ValueError("collective-parity witness needs at least 3 modes")
     kernel.check_modes(modes)
-    cutoff = state.cutoff
-    anc = kernel.fock_states(cutoff)
+    anc = kernel.fock_states()
     total_modes = 2 * modes - 2
     beta = complex(alpha) * math.sqrt(modes / (2.0 * modes - 2.0))
 
-    cut = max([cutoff] + [a.cutoff for a in anc])
-    anc = [a.with_cutoff(cut) for a in anc]
     try:
-        joint_branches = []
-        for weight, pure in as_ensemble(state):
-            joint = pure.with_cutoff(cut)
-            for a in anc:
-                joint = tensor(joint, a)
-            joint_branches.append((weight, joint))
-        rho_plus = _com_density_matrix(MixedState(tuple(joint_branches)), max_photons)
+        joint = MixedState(tuple((w, reduce(tensor, anc, st)) for w, st in as_ensemble(state)))
+        rho_plus = _com_density_matrix(joint, max_photons)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
             "%s; for larger systems use the tabulated closed forms "

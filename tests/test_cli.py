@@ -63,7 +63,8 @@ def test_parse_int_range_inclusive():
 
 
 @pytest.mark.parametrize("text", ["", "1:2", "1:2:0", "a..b", "3..", "2..1",
-                                  "0.2:inf:0.1", "0.2:nan:0.1", "-inf:1:0.1", "0:1:inf"])
+                                  "0.2:inf:0.1", "0.2:nan:0.1", "-inf:1:0.1", "0:1:inf",
+                                  "0:1e300:1e-300", "0:1:1e-300", "0..1000000000000"])
 def test_parse_range_rejects_malformed(text):
     with pytest.raises((cli.CliError, ValueError)):
         cli.parse_int_range(text) if ".." in text else cli.parse_range(text)
@@ -347,6 +348,10 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
      "need lo < hi"),
     (["rmin-scan", "--m", "3", "--eta-range", "0.1", "--r-lo", "3", "--r-hi", "0.2"],
      "need lo < hi"),
+    (["cat-violation", "--gamma-range", "0:1e300:1e-300"], "more than the limit of 1000000"),
+    (["numint", "--family", "w:M=3", "--r", "1e200", "--delta", "1e199"], "not finite"),
+    (["cat-violation", "--m-range", "3..3", "--gamma-range", "1e308:1e308:1"], "finite"),
+    (["numint", "--family", "w:M=3,m=5"], "'m' is given twice"),
 ])
 def test_bad_numeric_inputs_exit_one(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1

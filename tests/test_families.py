@@ -109,6 +109,10 @@ def test_label_round_trips_through_parse(data, tag):
     lambda: fam.parse_family("cat:M=3,gamma=nan"),
     lambda: fam.parse_family("w:M=3.5"),
     lambda: fam.parse_family("noon3:N=0"),
+    lambda: fam.cat_family(3, 1e200),  # |gamma|^2 overflows
+    lambda: fam.cat_family(3, complex(1.7e308, 1.7e308)),  # so does |gamma|
+    lambda: fam.parse_family("w:M=3,m=5"),
+    lambda: fam.parse_family("cat:M=3,gamma=1,GAMMA=2"),
 ])
 def test_bad_family_inputs_rejected_at_construction(build):
     with pytest.raises(ValueError):
@@ -423,7 +427,9 @@ def test_kernel_takes_numpy_parameters():
        r=st.floats(0.0, 3.0), theta=st.floats(0.0, 2 * math.pi))
 def test_kernel_entry_is_the_ancilla_characteristic_function(n, cutoff, r, theta):
     kernel = fam.vacuum_kernel(1) if n < 0 else fam.fock_kernel(1, n)
-    (state,) = kernel.fock_states(cutoff)
+    (state,) = kernel.fock_states()
+    # padded ancillas are still the same characteristic function
+    state = state.with_cutoff(max(state.cutoff, cutoff))
     assert state.cutoff >= cutoff
     xi = r * complex(math.cos(theta), math.sin(theta))
     assert fam.kernel_c_entry(kernel, xi) == pytest.approx(

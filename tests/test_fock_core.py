@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgme import fock_core as fc
 
@@ -77,10 +79,53 @@ def test_tensor_product_amplitudes():
 
 
 def test_tensor_cutoff_mismatch():
-    a = fc.vacuum(1, 2)
-    b = fc.vacuum(1, 3)
+    # the factor with the lower cutoff is zero-padded
+    a = fc.PureState(np.array([0.6, 0.0, 0.8j]))
+    b = fc.PureState(np.array([0.0, 0.5, 0.0, -0.5]))
+    ab = fc.tensor(a, b)
+    assert ab.amps.shape == (4, 4)
+    np.testing.assert_array_equal(ab.amps, np.multiply.outer(a.with_cutoff(3).amps, b.amps))
+    assert ab.amps[2, 3] == -0.4j
+    assert fc.tensor(b, a).amps.shape == (4, 4)
+
+
+def _pad(state, cutoff):
+    """`state`'s amplitudes zero-padded by hand to `cutoff`."""
+    return np.pad(state.amps, (0, cutoff - state.cutoff))
+
+
+@st.composite
+def _pure_states(draw, modes):
+    cutoff = draw(st.integers(0, 3))
+    size = (cutoff + 1) ** modes
+    parts = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=size, max_size=size)
+    re, im = draw(parts), draw(parts)
+    return fc.PureState((np.array(re) + 1j * np.array(im)).reshape((cutoff + 1,) * modes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 3), other=st.integers(1, 3),
+       weight=st.floats(0.0, 1.0))
+def test_products_and_mixtures_pad_to_the_larger_cutoff(data, modes, other, weight):
+    a = data.draw(_pure_states(modes), label="a")
+    b = data.draw(_pure_states(other), label="b")
+    assert a.with_cutoff(a.cutoff) is a  # an aligned factor is not copied
+    top = max(a.cutoff, b.cutoff)
+    ab = fc.tensor(a, b)
+    assert ab.cutoff == top and ab.modes == modes + other
+    np.testing.assert_array_equal(ab.amps, np.multiply.outer(_pad(a, top), _pad(b, top)))
+    c = data.draw(_pure_states(modes), label="c")
+    mix = fc.MixedState(((weight, a), (1.0 - weight, c)))
+    top = max(a.cutoff, c.cutoff)
+    assert mix.cutoff == top
+    for (w, got), (want_w, want) in zip(mix.branches, ((weight, a), (1.0 - weight, c))):
+        assert w == want_w
+        np.testing.assert_array_equal(got.amps, _pad(want, top))
+
+
+def test_mixture_branches_must_agree_on_mode_count():
     with pytest.raises(fc.DimensionError):
-        fc.tensor(a, b)
+        fc.MixedState(((0.5, fc.vacuum(1)), (0.5, fc.vacuum(2))))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9 - 0.4j])
