@@ -171,7 +171,8 @@ def _limit_threads(n) -> None:
         return
     if n < 1:
         raise CliError("--threads must be at least 1")
-    # numpy is loaded by now, so only threadpoolctl can still resize its pools
+    # numpy is loaded by now, so only threadpoolctl can still resize its pools;
+    # the cvgme command (__main__.py) has set the pool variables before that
     try:
         import threadpoolctl
 
@@ -563,8 +564,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (default: current)")
         p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="cap the BLAS/OpenMP thread pools (needs threadpoolctl; "
-                            "otherwise set OMP_NUM_THREADS etc. before starting)")
+                       help="cap the BLAS/OpenMP thread pools: the cvgme command "
+                            "sets OMP_NUM_THREADS etc. before numpy loads; a "
+                            "cli.main call in a running process needs threadpoolctl")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        help="which files to write (default: both)")
         p.add_argument("--gnuplot", action="store_true",

@@ -1,15 +1,19 @@
 """Exact operations on truncated Fock states.
 
 A state's amplitudes are a dense array of shape (cutoff+1,)*M (see
-`fock_core`), and a single-mode operator acts on it as one ``np.tensordot``
-per mode (:func:`apply_mode_matrices`).
+`fock_core`).  Single-mode operators act on it one mode at a time
+(:func:`apply_mode_matrices`): each step is one matrix product on the
+leading axis, flattened against the rest, and puts the new axis last, so
+no axis is moved on its own.
 
 Displacements use the whole number-basis matrix <m|D(beta)|n> from
 :func:`displacement_matrix`.  Each diagonal m - n = k of that matrix is a
 normalized Laguerre function of |beta|^2, built by its three-term recurrence
 in n, which never forms the factorial ratios or powers of beta that overflow
 or underflow; elements are exact at any truncation, unlike exponentiating a
-truncated ladder operator.  A linear-optical unitary acts by rebuilding each
+truncated ladder operator.  The recurrence's coefficients and the index
+tables of the fill depend on the dimension alone; the 16 dimensions used
+last keep theirs.  A linear-optical unitary acts by rebuilding each
 occupied basis state from creation operators on the dense array; amplitude
 damping branches per mode into Kraus terms and merges proportional branches.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +53,27 @@ class CutoffError(ValueError):
     """Raised when a displacement loses too much norm to truncation."""
 
 
+@lru_cache(maxsize=16)
+def _displacement_tables(dim: int):
+    """The parts of :func:`displacement_matrix` that depend on `dim` alone.
+
+    k, k/2, (1/2) log n!, the recurrence's coefficient rows 2n+1+k,
+    sqrt(n(n+k)) and sqrt((n+1)(n+k+1)), the lower-triangle pairs (n, k)
+    with n + k < dim, their row index n + k and the signs (-1)^k.  The
+    arrays are read-only, since every caller of one dim shares them.
+    """
+    k = np.arange(dim, dtype=float)
+    n = k[:, None]
+    half_log_factorial = 0.5 * np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
+    n_idx, k_idx = np.nonzero(np.add.outer(k, k) < dim)  # n + k < dim
+    tables = (k, 0.5 * k, half_log_factorial, 2 * n + 1 + k,
+              np.sqrt(n * (n + k)), np.sqrt((n + 1) * (n + k + 1)),
+              n_idx, k_idx, n_idx + k_idx, (-1.0) ** k_idx)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     """The dim x dim block <m|D(beta)|n>, m, n = 0..dim-1.
 
@@ -71,22 +97,19 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
         )
     if x == 0.0:
         return np.eye(dim, dtype=complex)
-    k = np.arange(dim, dtype=float)
+    (k, half_k, half_log_factorial, diag, root_lo, root_hi,
+     n_idx, k_idx, m_idx, sign) = _displacement_tables(dim)
     f = np.empty((dim, dim))  # f[n, k] = f_n^k(x)
-    log_factorial = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
-    f[0] = np.exp(0.5 * k * math.log(x) - 0.5 * log_factorial - 0.5 * x)
+    f[0] = np.exp(half_k * math.log(x) - half_log_factorial - 0.5 * x)
     if dim > 1:
-        f[1] = f[0] * (1.0 + k - x) / np.sqrt(k + 1.0)
+        f[1] = f[0] * (diag[0] - x) / root_hi[0]  # row n = 0, where f_(-1) = 0
     for n in range(1, dim - 1):
-        f[n + 1] = ((2 * n + 1 + k - x) * f[n] - np.sqrt(n * (n + k)) * f[n - 1]) / (
-            np.sqrt((n + 1) * (n + k + 1))
-        )
-    n_idx, k_idx = np.nonzero(np.add.outer(k, k) < dim)  # n + k < dim
+        f[n + 1] = ((diag[n] - x) * f[n] - root_lo[n] * f[n - 1]) / root_hi[n]
     vals = f[n_idx, k_idx]
     phase = np.exp(1j * math.atan2(beta.imag, beta.real) * k)[k_idx]
     out = np.empty((dim, dim), dtype=complex)
-    out[n_idx + k_idx, n_idx] = phase * vals
-    out[n_idx, n_idx + k_idx] = (-1.0) ** k_idx * phase.conj() * vals
+    out[m_idx, n_idx] = phase * vals
+    out[n_idx, m_idx] = sign * phase.conj() * vals
     return out
 
 
@@ -98,9 +121,15 @@ def displacement_matrix_element(m: int, n: int, beta: complex) -> complex:
 
 
 def apply_mode_matrices(arr: np.ndarray, mats) -> np.ndarray:
-    """Apply mats[m] (rows x arr.shape[m]) to axis m of `arr`, for every m."""
-    for axis, mat in enumerate(mats):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    """Apply mats[m] (rows x arr.shape[m]) to axis m of `arr`, for every m.
+
+    `mats` holds one matrix per axis.  Each step contracts the leading axis
+    by one matrix product and puts the new axis last, so after one step per
+    axis every axis is back in place.
+    """
+    for mat in mats:
+        out = mat @ arr.reshape(arr.shape[0], -1)
+        arr = out.T.reshape(arr.shape[1:] + (mat.shape[0],))
     return arr
 
 

@@ -41,7 +41,7 @@ from .fock_core import (
     check_dense_size,
     tensor,
 )
-from .gaussian_ops import DEFAULT_PHOTON_BUDGET, displacement_matrix
+from .gaussian_ops import DEFAULT_PHOTON_BUDGET, MAX_DISPLACEMENT_SQ, displacement_matrix
 
 # not called here, but perfbench/tracing.py patches these names on this module
 from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # noqa: F401
@@ -265,9 +265,11 @@ def witness_b(entry_fn, xi, modes: int, family: str | None = None,
 def _lower_com(psi: np.ndarray) -> np.ndarray:
     """a_c psi for the centre-of-mass mode a_c = SUM_m a_m / sqrt(M)."""
     out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
+    root = np.sqrt(np.arange(1, psi.shape[0]))
     for axis in range(psi.ndim):
-        np.moveaxis(out, axis, 0)[:-1] += root * np.moveaxis(psi, axis, 0)[1:]
+        head = (slice(None),) * axis
+        root_col = root.reshape((-1,) + (1,) * (psi.ndim - 1 - axis))
+        out[head + (slice(None, -1),)] += root_col * psi[head + (slice(1, None),)]
     return out / math.sqrt(psi.ndim)
 
 
@@ -317,7 +319,9 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
     which must have truncated-Fock states (vacuum or Fock entries; a
     squeezed ancilla raises ValueError).  The value is the expectation of
     the displaced parity of the centre-of-mass mode over all 2M-2 modes; a
-    negative value certifies.
+    negative value certifies.  `params` records the oracle's size: the joint
+    state's per-mode `cutoff`, its dense amplitude `entries` summed over its
+    branches, and `n_max`, its largest total photon number.
     """
     modes = state.modes
     if modes < 3:
@@ -325,7 +329,8 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
     kernel.check_modes(modes)
     anc = kernel.fock_states()
     total_modes = 2 * modes - 2
-    beta = complex(alpha) * math.sqrt(modes / (2.0 * modes - 2.0))
+    scale = math.sqrt(modes / (2.0 * modes - 2.0))
+    beta = complex(alpha) * scale
 
     try:
         joint = MixedState(tuple((w, reduce(tensor, anc, st)) for w, st in as_ensemble(state)))
@@ -335,7 +340,14 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
             "%s; for larger systems use the tabulated closed forms "
             "(family_smoothed_wigner)" % exc
         ) from None
-    value = _displaced_parity_from_dm(rho_plus, beta)
+    try:
+        value = _displaced_parity_from_dm(rho_plus, beta)
+    except ValueError:
+        raise ValueError(
+            "|alpha| = %.6g is out of range: at M = %d the collective parity is "
+            "computed up to |alpha| = %.4g"
+            % (abs(complex(alpha)), modes, math.sqrt(MAX_DISPLACEMENT_SQ) / (2.0 * scale))
+        ) from None
     return WitnessReport(
         witness="C",
         value=value,
@@ -346,6 +358,9 @@ def witness_c(state, kernel: families.KernelSpec, alpha: complex = 0.0,
             "total_modes": total_modes,
             "alpha": [complex(alpha).real, complex(alpha).imag],
             "ancillas": [list(map(tuple, np.argwhere(a.amps).tolist())) for a in anc],
+            "cutoff": joint.cutoff,
+            "entries": sum(pure.amps.size for _, pure in joint.branches),
+            "n_max": rho_plus.shape[0] - 1,
         },
     )
 

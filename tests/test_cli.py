@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cvgme.__main__ as entry
 import cvgme.cli as cli
 from cvgme.witnesses import GUARD
 
@@ -310,6 +311,66 @@ def test_threads_flag_accepted(tmp_path):
     code = cli.main(["dicke-violation", "--out", str(tmp_path),
                      "--threads", "1"])
     assert code == 0
+
+
+def test_console_entry_sets_thread_variables_before_numpy(tmp_path):
+    # python -m cvgme runs the console entry; a finder placed first on the
+    # import path records the thread variables when numpy is first imported
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    code = (
+        "import json, os, runpy, sys\n"
+        "NAMES = %r\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(n) for n in NAMES])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "sys.argv = ['cvgme', 'dicke-violation', '--threads', '2', '--out', %r]\n"
+        "try:\n"
+        "    runpy.run_module('cvgme', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, seen, [os.environ.get(n) for n in NAMES]]))\n"
+        % (names, str(tmp_path)))
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    exit_code, seen, final = json.loads(run.stdout.strip().splitlines()[-1])
+    assert exit_code == 0
+    assert seen == [["2"] * 5]
+    assert final == ["2"] * 5
+    assert (tmp_path / "dicke-violation.csv").exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["numint", "--threads", "2"], "2"),
+    (["numint", "--threads=3", "--delta", "0.01"], "3"),
+    (["numint", "--thr", "4"], "4"),
+    (["numint", "--threads", "1", "--threads", "5"], "5"),
+    (["numint", "--threads"], None),
+    (["rmin-scan", "--tol", "2"], None),
+    (["numint", "--", "2"], None),
+])
+def test_console_entry_reads_threads_as_the_parser_does(argv, value):
+    assert entry._threads_value(argv) == value
+
+
+def test_rmin_scan_radius_brackets_the_threshold(tmp_path):
+    tol, delta = 0.01, 0.02
+    code = cli.main(["rmin-scan", "--m", "3", "--eta-range", "0.1", "--delta", str(delta),
+                     "--tol", str(tol), "--out", str(tmp_path)])
+    assert code == 0
+    (row,) = json.loads((tmp_path / "rmin-scan.json").read_text())["rows"]
+    spec = cli.families.w_family(3, eta=0.1)
+    r_min, thr = row["r_min"], row["threshold"]
+    assert math.isfinite(r_min)
+    assert cli.v2d_quadrature(spec, delta, radius=r_min - tol) <= thr
+    above = cli.v2d_quadrature(spec, delta, radius=r_min + tol)
+    assert above > thr
+    assert row["value"] == above
 
 
 def test_numint_violation_column_is_certifying_margin(tmp_path):

@@ -83,6 +83,80 @@ def test_displacement_matrix_rejects_underflowing_amplitude(beta):
         go.displacement_matrix(beta, 4)
 
 
+def _displacement_matrix_reference(beta, dim):
+    """The displacement block as built before its per-dim tables were cached."""
+    beta = complex(beta)
+    x = beta.real * beta.real + beta.imag * beta.imag
+    if x == 0.0:
+        return np.eye(dim, dtype=complex)
+    k = np.arange(dim, dtype=float)
+    f = np.empty((dim, dim))
+    log_factorial = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
+    f[0] = np.exp(0.5 * k * math.log(x) - 0.5 * log_factorial - 0.5 * x)
+    if dim > 1:
+        f[1] = f[0] * (1.0 + k - x) / np.sqrt(k + 1.0)
+    for n in range(1, dim - 1):
+        f[n + 1] = ((2 * n + 1 + k - x) * f[n] - np.sqrt(n * (n + k)) * f[n - 1]) / (
+            np.sqrt((n + 1) * (n + k + 1))
+        )
+    n_idx, k_idx = np.nonzero(np.add.outer(k, k) < dim)
+    vals = f[n_idx, k_idx]
+    phase = np.exp(1j * math.atan2(beta.imag, beta.real) * k)[k_idx]
+    out = np.empty((dim, dim), dtype=complex)
+    out[n_idx + k_idx, n_idx] = phase * vals
+    out[n_idx, n_idx + k_idx] = (-1.0) ** k_idx * phase.conj() * vals
+    return out
+
+
+_BETAS = [0.0, 5e-3, 0.3, -0.45 + 0.2j, 0.9j, 1.7 * np.exp(2.4j), -3.0, 6.5 - 4.0j,
+          20.0j, 36.5, 37.5 * np.exp(-2.2j)]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_displacement_matrix_bits_match_the_uncached_build(warm):
+    for dim in range(1, 41):
+        for beta in _BETAS:
+            if not warm:
+                go._displacement_tables.cache_clear()
+            got = go.displacement_matrix(beta, dim)
+            want = _displacement_matrix_reference(beta, dim)
+            assert np.array_equal(got, want), (beta, dim)
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(want.view(float))), (beta, dim)
+
+
+def test_displacement_tables_are_read_only():
+    for table in go._displacement_tables(5):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@st.composite
+def _mode_matrices_and_array(draw):
+    modes = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 4), min_size=modes, max_size=modes))
+    rows = draw(st.lists(st.integers(1, 4), min_size=modes, max_size=modes))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    mats = [rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+            for r, d in zip(rows, dims)]
+    return arr, mats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mode_matrices_and_array())
+def test_apply_mode_matrices_is_the_kronecker_product(case):
+    arr, mats = case
+    got = go.apply_mode_matrices(arr, mats)
+    kron = np.ones((1, 1))
+    for mat in mats:
+        kron = np.kron(kron, mat)
+    want = (kron @ arr.ravel()).reshape(tuple(mat.shape[0] for mat in mats))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_apply_displacement_refuses_oversized_tensor():
     # 8 modes at working cutoff 14 would be 15^8 entries
     with pytest.raises(go.ResourceLimitError):

@@ -435,6 +435,47 @@ def test_witness_c_dense_entry_budget():
         wit.witness_c(state, fam.vacuum_kernel(4), max_photons=8)
 
 
+def test_witness_c_reports_oracle_size():
+    state = fam.family_fock_expansion(fam.w_family(3))
+    rep = wit.witness_c(state, fam.vacuum_kernel(1), alpha=0.3)
+    assert (rep.params["cutoff"], rep.params["entries"], rep.params["n_max"]) == (1, 16, 1)
+    # a 3-photon ancilla lifts the joint cutoff to 3: 4^4 entries, 4 photons
+    rep = wit.witness_c(state, fam.fock_kernel(1, 3), alpha=0.3)
+    assert (rep.params["cutoff"], rep.params["entries"], rep.params["n_max"]) == (3, 256, 4)
+
+
+def test_witness_c_out_of_range_alpha_names_alpha():
+    state = fam.family_fock_expansion(fam.w_family(3))
+    # at M = 3 the internal displacement is 2 alpha sqrt(3/4), which
+    # underflows beyond |alpha| = 37.64 / sqrt(3) = 21.73
+    assert np.isfinite(wit.witness_c(state, fam.vacuum_kernel(1), alpha=21.7).value)
+    with pytest.raises(ValueError, match=r"\|alpha\| = 40 .*M = 3.* 21\.73"):
+        wit.witness_c(state, fam.vacuum_kernel(1), alpha=40)
+    with pytest.raises(ValueError, match="alpha"):
+        wit.witness_c(state, fam.vacuum_kernel(1), alpha=complex("nan"))
+
+
+def _lower_com_reference(psi):
+    """a_c psi as computed before the slice-add rewrite, by moving each axis first."""
+    out = np.zeros_like(psi)
+    root = np.sqrt(np.arange(1, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
+    for axis in range(psi.ndim):
+        np.moveaxis(out, axis, 0)[:-1] += root * np.moveaxis(psi, axis, 0)[1:]
+    return out / math.sqrt(psi.ndim)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (1, 1, 1), (2,) * 4, (3,) * 6, (2,) * 8,
+                                   (4,) * 3])
+def test_lower_com_bits_match_the_moveaxis_version(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi.real[psi.real < -1.0] = -0.0  # signed zeros must come out the same too
+    got = wit._lower_com(psi)
+    want = _lower_com_reference(psi)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def _reflection_com_density(state):
     """Centre-of-mass density matrix through a multiport reflection.
 
