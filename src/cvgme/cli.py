@@ -143,25 +143,18 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def write_gnuplot(path: str, csv_name: str, columns, title: str) -> None:
-    x = columns[0]
-    try:
-        y_idx = columns.index("value") + 1
-    except ValueError:
-        y_idx = 2
+    """A script plotting the `value` and `threshold` columns against the first."""
     script = [
         "# plotting script for %s" % csv_name,
         "set datafile separator ','",
         "set key autotitle columnhead",
-        "set xlabel '%s'" % x,
+        "set xlabel '%s'" % columns[0],
         "set ylabel 'value'",
         "set title '%s'" % title,
-        "plot '%s' using 1:%d with linespoints" % (csv_name, y_idx),
+        "plot '%s' using 1:%d with linespoints, '%s' using 1:%d with lines dashtype 2 "
+        "title 'threshold'" % (csv_name, columns.index("value") + 1,
+                               csv_name, columns.index("threshold") + 1),
     ]
-    if "threshold" in columns:
-        script[-1] += (
-            ", '%s' using 1:%d with lines dashtype 2 title 'threshold'"
-            % (csv_name, columns.index("threshold") + 1)
-        )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(script) + "\n")
 

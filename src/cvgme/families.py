@@ -24,11 +24,14 @@ such as ('fock', 1), whose kind is an `AncillaKind` record in `ANCILLAS`
 (parameter check, characteristic function, truncated-Fock state).  Smoothed
 forms exist for uniform kernels only: all ancillas vacuum, or all fock(1).
 
+The W and cat members are centre-of-mass products: one single-mode state in
+the mode SUM_m a_m / sqrt(M) (a photon mixed with the vacuum by loss; a cat of
+amplitude sqrt(M) gamma, which loss leaves an exact mixture of an even and an
+odd cat) and the vacuum in the M-1 modes orthogonal to it.  `_com_record`
+derives every capability of theirs from that one state.
+
 The closed forms are the production path; the Fock expansion exists so that
 tests can check every formula against an independent brute-force evaluation.
-Loss is handled analytically for the W and cat families (a damped cat is an
-exact rank-2 mixture of smaller cats; a damped single-photon W state is an
-exact mixture with the vacuum), never by Kraus enumeration at large M.
 """
 
 from __future__ import annotations
@@ -434,25 +437,26 @@ def _single_occupations(modes: int, n: int):
 
 
 class _Plane:
-    """Slice points alpha = x + iy, for real x, y that broadcast.
+    """Slice points scale * (x + iy), for real x, y that broadcast.
 
     Every exponential and trigonometric factor is split into an x part times
     a y part, so on a lattice (x a column, y a row) the transcendental work
     is O(rows + columns) and the plane is filled by products alone.
     """
 
-    def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+    def __init__(self, x, y, scale=1.0, weight=1.0):
+        self.x = scale * np.asarray(x, dtype=float)
+        self.y = scale * np.asarray(y, dtype=float)
+        self.weight = weight
 
     @cached_property
     def u(self):
         """|alpha|^2"""
         return self.x * self.x + self.y * self.y
 
-    def gauss(self, c, x0=0.0, y0=0.0):
-        """exp(-c |alpha - (x0 + i y0)|^2)"""
-        return np.exp(-c * (self.x - x0) ** 2) * np.exp(-c * (self.y - y0) ** 2)
+    def gauss(self, a, x0=0.0, y0=0.0, c=1.0):
+        """c * weight * exp(-a |alpha - (x0 + i y0)|^2)"""
+        return c * self.weight * np.exp(-a * (self.x - x0) ** 2) * np.exp(-a * (self.y - y0) ** 2)
 
     def cos_diff(self, a, b):
         """cos(a - b) for a on the y axis and b on the x axis"""
@@ -468,6 +472,115 @@ def _radial_envelope(a, scale, coeffs) -> GaussianEnvelope:
     return GaussianEnvelope(tuple((scale * c, k, a, 0.0) for k, c in enumerate(coeffs) if c))
 
 
+class _Photon:
+    """(1 - eta)|1><1| + eta|0><0|, the centre-of-mass mode of a W member."""
+
+    volume = 4.0 / math.sqrt(math.e) - 1.0  # int |W1| d^2 beta at eta = 0
+
+    def __init__(self, spec, eta):
+        self.eta, self.energy = eta, 1.0 - eta
+
+    def parity(self, p):
+        return p.gauss(2.0) * (4.0 * (1.0 - self.eta) * p.u + (2.0 * self.eta - 1.0))
+
+    def chi(self, xi, sq):
+        u = np.abs(xi) ** 2
+        return np.exp(-0.5 * sq * u) * (1.0 - sq * (1.0 - self.eta) * u)
+
+    def envelope(self):
+        return _radial_envelope(2.0, 1.0, (1.0, 0.0, (1.0 - self.eta) * 4.0))
+
+
+class _Cat:
+    """The even cat of amplitude sqrt(M) gamma under loss eta, the centre-of-mass
+    mode of a cat member: a mixture of the even and odd cats of g = sqrt(1 - eta)
+    sqrt(M) gamma, whose interference keeps the `coherence` exp(-2 M eta |gamma|^2).
+    The amplitude is kept as M and gamma: chi at sqrt(M) xi rounds no sqrt(M)."""
+
+    def __init__(self, spec, eta):
+        self.modes, self.gamma, self.root = spec.modes, spec.gamma, math.sqrt(1.0 - eta)
+        self.x = spec.modes * abs(spec.gamma) ** 2
+        self.g = self.root * math.sqrt(spec.modes) * spec.gamma
+        self.coherence = math.exp(-2.0 * eta * self.x)
+        self.overlap = math.exp(-2.0 * self.x)  # of the undamped branches
+        self.norm = 2.0 * (1.0 + self.overlap)  # of the undamped cat, squared
+        self.energy = (1.0 - eta) * self.x * math.tanh(self.x)
+
+    def parity(self, p):
+        g, pre = self.g, 1.0 / self.norm
+        # cos(4 Im(beta conj g)) with Im(beta conj g) = y Re g - x Im g
+        fringe = p.cos_diff(4.0 * g.real * p.y, 4.0 * g.imag * p.x)
+        return (p.gauss(2.0, g.real, g.imag, pre) + p.gauss(2.0, -g.real, -g.imag, pre)
+                + p.gauss(2.0, c=2.0 * self.coherence * pre) * fringe)
+
+    def chi(self, xi, sq):
+        u = np.abs(xi) ** 2
+        pref = 1.0 / (1.0 + self.overlap)
+        k = 2.0 * math.sqrt(sq * self.modes) * self.root  # 2 sqrt(sq) g / gamma
+        cross = xi * np.conj(self.gamma)
+        z = k * cross.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = pref * np.exp(-0.5 * sq * u) * (np.cos(k * cross.imag)
+                                                 + self.overlap * np.cosh(z))
+        if not np.isfinite(out).all():
+            # far out exp(-Mu/2) underflows where cosh(z) overflows: take the
+            # cosh term in log space, where its exponents are <= 0
+            damp = -0.5 * sq * u - 2.0 * self.x
+            far = pref * (np.exp(-0.5 * sq * u) * np.cos(k * cross.imag)
+                          + 0.5 * (np.exp(damp + z) + np.exp(damp - z)))
+            out = np.where(np.isfinite(out), out, far)
+        return out
+
+    def envelope(self):
+        c, g = 1.0 / self.norm, abs(self.g)
+        return GaussianEnvelope(((c, 0, 2.0, g), (c, 0, 2.0, -g), (2.0 * c, 0, 2.0, 0.0)))
+
+
+def _com_record(tag, params, one, **fields) -> FamilyRecord:
+    """The record of a family whose members hold the single-mode state
+    `one(spec, eta)` in their centre-of-mass mode and vacua elsewhere, lifted
+    from the state's displaced parity (pi/2) W1 on a _Plane (whose weight holds
+    the 2/pi), its characteristic function at sqrt(sq) xi, a bound on |parity|,
+    its mean photon number and its `volume`."""
+
+    def slice_xy(spec, p):  # (2/pi)^(M-1) W1(sqrt(M) alpha)
+        m = spec.modes
+        return one(spec, spec.eta).parity(_Plane(p.x, p.y, math.sqrt(m), (2.0 / math.pi) ** m))
+
+    def envelope(spec):  # the parity's envelope at rho -> sqrt(M) rho, times (2/pi)^M
+        m, weight = spec.modes, (2.0 / math.pi) ** spec.modes
+        return GaussianEnvelope(tuple(
+            (weight * (c * m ** (k / 2)), k, a * m, rho0 / math.sqrt(m))
+            for c, k, a, rho0 in one(spec, spec.eta).envelope().terms))
+
+    def smoothed(spec, alpha, u):
+        # the collective mode of system and M-2 vacuum ancillas sees the centre
+        # of mass through a further loss 1-T, T = M/(2M-2), at sqrt(T) alpha
+        t = spec.modes / (2.0 * spec.modes - 2.0)
+        state = one(spec, 1.0 - (1.0 - spec.eta) * t)
+        return state.parity(_Plane(alpha.real, alpha.imag, math.sqrt(t), 2.0 / math.pi))
+
+    def com_wigner(spec, beta):
+        # |beta| is clipped 30 beyond the outermost Gaussian centre, where every
+        # Gaussian is 0.0 (exp(-2 * 19.3^2) already is), so squares stay finite
+        state = one(spec, spec.eta)
+        limit = 30.0 + max(rho0 for *_, rho0 in state.envelope().terms)
+        shrink = limit / np.maximum(np.abs(beta), limit)
+        return state.parity(_Plane(beta.real * shrink, beta.imag * shrink, weight=2.0 / math.pi))
+
+    def v2d(spec):  # a lossless member's: the single-mode volume over M
+        if spec.eta != 0.0:
+            raise ValueError("no closed-form volume for %r; integrate the slice "
+                             "numerically" % spec.label())
+        return one.volume / spec.modes
+
+    return FamilyRecord(
+        tag, params, slice_xy=slice_xy, envelope=envelope, smoothed={_VACUUM: smoothed},
+        c_entry=lambda spec, xi: one(spec, spec.eta).chi(xi, spec.modes),  # chi1(sqrt(M) xi)
+        com_wigner=com_wigner, v2d=v2d if hasattr(one, "volume") else None,
+        energy=lambda spec: one(spec, spec.eta).energy, **fields)
+
+
 # w: a single excitation shared over M modes, with per-mode loss eta
 def _w_fock(spec):
     m = spec.modes
@@ -476,52 +589,6 @@ def _w_fock(spec):
     if spec.eta == 0.0:
         return pure
     return MixedState(((1.0 - spec.eta, pure), (spec.eta, vacuum(m))))
-
-
-def _w_slice(spec, p):
-    m = spec.modes
-    poly = (1.0 - spec.eta) * 4.0 * m * p.u + 2.0 * spec.eta - 1.0
-    return (2.0 / math.pi) ** m * p.gauss(2.0 * m) * poly
-
-
-def _w_envelope(spec):
-    m = spec.modes
-    return _radial_envelope(2.0 * m, (2.0 / math.pi) ** m,
-                            (1.0, 0.0, (1.0 - spec.eta) * 4.0 * m))
-
-
-def _w_c_entry(spec, xi):
-    m = spec.modes
-    u = np.abs(xi) ** 2
-    return np.exp(-0.5 * m * u) * (1.0 - m * (1.0 - spec.eta) * u)
-
-
-def _w_smoothed(spec, alpha, u):
-    m = spec.modes
-    return (
-        (2.0 / (math.pi * (m - 1)))
-        * np.exp(-m * u / (m - 1))
-        * ((m * m / (m - 1)) * (1.0 - spec.eta) * u + m * spec.eta - 1.0)
-    )
-
-
-def _w_com_wigner(spec, beta):
-    # the reduction is the matching mixture of a single photon with the vacuum;
-    # |beta| is clipped at 30 so that u stays finite: exp(-2u) is already 0.0
-    # in double precision beyond |beta| = 19.3
-    u = np.minimum(np.abs(beta), 30.0) ** 2
-    return (2.0 / math.pi) * np.exp(-2.0 * u) * (
-        (1.0 - spec.eta) * (4.0 * u - 1.0) + spec.eta
-    )
-
-
-def _w_v2d(spec):
-    if spec.eta != 0.0:
-        raise ValueError(
-            "no closed-form volume for %r; integrate the slice numerically"
-            % spec.label()
-        )
-    return 4.0 / (spec.modes * math.sqrt(math.e)) - 1.0 / spec.modes
 
 
 # cat: |gamma>^M + |-gamma>^M, with per-mode loss eta
@@ -533,76 +600,13 @@ def _cat_fock(spec):
     if spec.eta == 0.0:
         return _cat_pure(m, gamma, +1, cutoff)
     # exact rank-2 decomposition of the damped cat
-    g = math.sqrt(1.0 - spec.eta) * gamma
-    c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
-    n_plus_in = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
-    exp_g = math.exp(-2.0 * m * abs(g) ** 2)
-    w_plus = 2.0 * (1.0 + exp_g) * (1.0 + c) / (2.0 * n_plus_in)
-    w_minus = 2.0 * (1.0 - exp_g) * (1.0 - c) / (2.0 * n_plus_in)
-    branches = []
-    if w_plus > 1e-15:
-        branches.append((w_plus, _cat_pure(m, g, +1, cutoff)))
-    if w_minus > 1e-15:
-        branches.append((w_minus, _cat_pure(m, g, -1, cutoff)))
+    cat = _Cat(spec, spec.eta)
+    g = cat.root * gamma  # the damped amplitude of each mode
+    exp_g = math.exp(-2.0 * abs(cat.g) ** 2)
+    weights = [((1.0 + s * exp_g) * (1.0 + s * cat.coherence) / cat.norm, s) for s in (1, -1)]
+    branches = [(w, _cat_pure(m, g, s, cutoff)) for w, s in weights if w > 1e-15]
     total = sum(w for w, _ in branches)
     return MixedState(tuple((w / total, st) for w, st in branches))
-
-
-def _cat_slice(spec, p):
-    m, gamma = spec.modes, spec.gamma
-    g = math.sqrt(1.0 - spec.eta) * gamma
-    c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
-    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
-    # cos(4M Im(alpha conj g)) with Im(alpha conj g) = y Re g - x Im g
-    fringe = p.cos_diff(4.0 * m * g.real * p.y, 4.0 * m * g.imag * p.x)
-    return ((2.0 / math.pi) ** m / n_plus) * (
-        p.gauss(2.0 * m, g.real, g.imag)
-        + p.gauss(2.0 * m, -g.real, -g.imag)
-        + 2.0 * c * p.gauss(2.0 * m) * fringe
-    )
-
-
-def _cat_symmetries(spec) -> dict:
-    # alpha -> -alpha swaps the two Gaussians; conjugation maps gamma to its conjugate
-    return {"point_even": True, "conj_even": spec.gamma.imag == 0.0}
-
-
-def _cat_envelope(spec):
-    a = 2.0 * spec.modes
-    g = abs(math.sqrt(1.0 - spec.eta) * spec.gamma)
-    c = (2.0 / math.pi) ** spec.modes / (2.0 * (1.0 + math.exp(-a * abs(spec.gamma) ** 2)))
-    return GaussianEnvelope(((c, 0, a, g), (c, 0, a, -g), (2.0 * c, 0, a, 0.0)))
-
-
-def _cat_c_entry(spec, xi):
-    m, gamma = spec.modes, spec.gamma
-    u = np.abs(xi) ** 2
-    root = math.sqrt(1.0 - spec.eta)
-    e2 = math.exp(-2.0 * m * abs(gamma) ** 2)
-    pref = 1.0 / (1.0 + e2)
-    cross = xi * np.conj(gamma)
-    z = 2.0 * m * root * cross.real
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (
-            pref
-            * np.exp(-0.5 * m * u)
-            * (np.cos(2.0 * m * root * cross.imag) + e2 * np.cosh(z))
-        )
-    if not np.isfinite(out).all():
-        # far out exp(-Mu/2) underflows where cosh(z) overflows: take the
-        # cosh term in log space, where its exponents are <= 0
-        damp = -0.5 * m * u - 2.0 * m * abs(gamma) ** 2
-        far = pref * (
-            np.exp(-0.5 * m * u) * np.cos(2.0 * m * root * cross.imag)
-            + 0.5 * (np.exp(damp + z) + np.exp(damp - z))
-        )
-        out = np.where(np.isfinite(out), out, far)
-    return out
-
-
-def _cat_energy(spec) -> float:
-    x = spec.modes * abs(spec.gamma) ** 2
-    return (1.0 - spec.eta) * x * math.tanh(x)
 
 
 # dicke2: two excitations shared symmetrically over M modes
@@ -740,15 +744,11 @@ def _origin_smoothed(value, spec, alpha, u):
 
 # the record table: one entry per family tag
 FAMILIES = {record.tag: record for record in (
-    FamilyRecord(
-        "w", (_count("M", "modes", "mode count", 1), _ETA),
-        fock=_w_fock, slice_xy=_w_slice, symmetries=_even, envelope=_w_envelope,
-        c_entry=_w_c_entry, smoothed={_VACUUM: _w_smoothed}, com_wigner=_w_com_wigner,
-        v2d=_w_v2d, energy=lambda spec: 1.0 - spec.eta),
-    FamilyRecord(
-        "cat", (_count("M", "modes", "mode count", 1), _GAMMA, _ETA),
-        fock=_cat_fock, slice_xy=_cat_slice, symmetries=_cat_symmetries,
-        envelope=_cat_envelope, c_entry=_cat_c_entry, energy=_cat_energy),
+    _com_record("w", (_count("M", "modes", "mode count", 1), _ETA), _Photon,
+                fock=_w_fock, symmetries=_even),
+    _com_record("cat", (_count("M", "modes", "mode count", 1), _GAMMA, _ETA), _Cat,
+                fock=_cat_fock,
+                symmetries=lambda spec: {"point_even": True, "conj_even": spec.gamma.imag == 0}),
     FamilyRecord(
         "dicke2", (_count("M", "modes", "mode count", 2),),
         fock=_dicke2_fock, slice_xy=_dicke2_slice, symmetries=_even,

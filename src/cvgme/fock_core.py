@@ -106,7 +106,9 @@ class PureState:
                 raise DimensionError("cannot shrink cutoff below occupied level %d" % top)
             return PureState(self.amps[(slice(cutoff + 1),) * self.modes].copy())
         check_dense_size((cutoff + 1,) * self.modes)
-        return PureState(np.pad(self.amps, (0, cutoff - self.cutoff)))
+        amps = np.zeros((cutoff + 1,) * self.modes, dtype=complex)
+        amps[(slice(self.cutoff + 1),) * self.modes] = self.amps
+        return PureState(amps)
 
 
 @dataclass(frozen=True)

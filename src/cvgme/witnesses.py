@@ -48,6 +48,10 @@ from .gaussian_ops import apply_linear_optical, displacement_matrix_element  # n
 
 GUARD = 1e-12
 
+#: Most photons `_com_density_matrix` takes: its alternating sum loses digits
+#: (|n> is off by 4e-12 at n = 12, 3e-8 at 20) and 21! overflows int64.
+MOMENT_PHOTON_LIMIT = 20
+
 
 def _root_m_minus_1(modes: int) -> float:
     """sqrt(M-1), the scale of the GME bounds, which need M >= 2 modes."""
@@ -283,10 +287,10 @@ def _com_density_matrix(state, max_photons: int) -> np.ndarray:
     """
     branches = as_ensemble(state)
     n_max = max(pure.total_photon_max() for _, pure in branches)
-    if n_max > max_photons:
+    if n_max > min(max_photons, MOMENT_PHOTON_LIMIT):
         raise ResourceLimitError(
-            "total photon number %d exceeds the brute-force budget %d"
-            % (n_max, max_photons)
+            "total photon number %d exceeds the brute-force budget %d or the moment "
+            "sum's limit %d, the lesser" % (n_max, max_photons, MOMENT_PHOTON_LIMIT)
         )
     gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for weight, pure in branches:

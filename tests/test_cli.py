@@ -179,13 +179,26 @@ _SMOKE_FLAGS = {
 
 @pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
 def test_every_experiment_writes_its_csv_and_json(tmp_path, name):
-    code = cli.main([name, *_SMOKE_FLAGS[name], "--out", str(tmp_path)])
+    code = cli.main([name, *_SMOKE_FLAGS[name], "--out", str(tmp_path), "--gnuplot"])
     assert code in (0, 2)
     lines = (tmp_path / (name + ".csv")).read_text(encoding="ascii").splitlines()
     payload = json.loads((tmp_path / (name + ".json")).read_text())
     assert payload["experiment"] == name
     assert len(lines) == len(payload["rows"]) + 1 >= 2
     assert payload["certified_any"] == (code == 0)
+    # the script plots the value column and the threshold column
+    columns = lines[0].split(",")
+    plot = (tmp_path / (name + ".gp")).read_text(encoding="ascii").splitlines()[-1]
+    assert "using 1:%d with linespoints" % (columns.index("value") + 1) in plot
+    assert "using 1:%d with lines" % (columns.index("threshold") + 1) in plot
+
+
+def test_mc_witness4_runs_on_a_cat(tmp_path):
+    code = cli.main(["mc-witness4", "--family", "cat:M=3,gamma=1", "--shots", "2000",
+                     "--seed", "1", "--out", str(tmp_path)])
+    assert code in (0, 2)
+    (row,) = json.loads((tmp_path / "mc-witness4.json").read_text())["rows"]
+    assert math.isfinite(row["value"])
 
 
 def test_wstate_violation_writes_artifacts(tmp_path):
@@ -389,7 +402,7 @@ def test_numint_violation_column_is_certifying_margin(tmp_path):
     (["numint", "--r", "nan"], "radius=nan"),
     (["wstate-loss", "--m-range", "3..3", "--delta", "0.05", "--tol", "0"], "tolerance"),
     (["rmin-scan", "--eta-range", "0", "--tol", "0"], "tolerance"),
-    (["mc-witness4", "--family", "cat:M=3,gamma=1", "--shots", "2000", "--seed", "1"],
+    (["mc-witness4", "--family", "dicke2:M=3", "--shots", "2000", "--seed", "1"],
      "com_wigner"),
     (["wstate-violation", "--m-range", "1..2"], "at least 2 modes, got M = 1"),
     (["cat-violation", "--m-range", "1..1", "--gamma-range", "0.5"], "got M = 1"),

@@ -594,3 +594,186 @@ def test_slice_envelope_bounds_slice():
         vals = np.abs(fam.family_wigner_slice(spec, pts))
         bound = env(np.abs(pts))
         assert np.all(vals <= bound * (1 + 1e-9) + 1e-12), spec.label()
+
+
+# ---------------------------------------------------------------------------
+# the centre-of-mass lift against the M-mode formulas it replaced
+# ---------------------------------------------------------------------------
+# Each W and cat formula below is written for M modes directly, as the
+# families were before their members became centre-of-mass products.
+
+
+def _m_mode_w(spec, x, y):
+    m, eta = spec.modes, spec.eta
+    u = x * x + y * y
+    gauss = np.exp(-2.0 * m * x**2) * np.exp(-2.0 * m * y**2)
+    return (2.0 / math.pi) ** m * gauss * ((1.0 - eta) * 4.0 * m * u + 2.0 * eta - 1.0)
+
+
+def _m_mode_cat(spec, x, y):
+    m, gamma = spec.modes, spec.gamma
+    g = math.sqrt(1.0 - spec.eta) * gamma
+    c = math.exp(-2.0 * m * spec.eta * abs(gamma) ** 2)
+    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
+
+    def gauss(x0, y0):
+        return np.exp(-2.0 * m * (x - x0) ** 2) * np.exp(-2.0 * m * (y - y0) ** 2)
+
+    fringe = np.cos(4.0 * m * (g.real * y - g.imag * x))
+    return ((2.0 / math.pi) ** m / n_plus) * (
+        gauss(g.real, g.imag) + gauss(-g.real, -g.imag) + 2.0 * c * gauss(0.0, 0.0) * fringe)
+
+
+def _m_mode_w_envelope(spec):
+    m = spec.modes
+    return numerics.GaussianEnvelope(tuple(
+        ((2.0 / math.pi) ** m * c, k, 2.0 * m, 0.0)
+        for k, c in enumerate((1.0, 0.0, (1.0 - spec.eta) * 4.0 * m)) if c))
+
+
+def _m_mode_cat_envelope(spec):
+    a = 2.0 * spec.modes
+    g = abs(math.sqrt(1.0 - spec.eta) * spec.gamma)
+    c = (2.0 / math.pi) ** spec.modes / (2.0 * (1.0 + math.exp(-a * abs(spec.gamma) ** 2)))
+    return numerics.GaussianEnvelope(((c, 0, a, g), (c, 0, a, -g), (2.0 * c, 0, a, 0.0)))
+
+
+def _m_mode_w_c_entry(spec, xi):
+    m, u = spec.modes, np.abs(xi) ** 2
+    return np.exp(-0.5 * m * u) * (1.0 - m * (1.0 - spec.eta) * u)
+
+
+def _m_mode_cat_c_entry(spec, xi):
+    m, gamma = spec.modes, spec.gamma
+    u, root = np.abs(xi) ** 2, math.sqrt(1.0 - spec.eta)
+    e2 = math.exp(-2.0 * m * abs(gamma) ** 2)
+    pref = 1.0 / (1.0 + e2)
+    cross = xi * np.conj(gamma)
+    z = 2.0 * m * root * cross.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pref * np.exp(-0.5 * m * u) * (np.cos(2.0 * m * root * cross.imag)
+                                             + e2 * np.cosh(z))
+    # where that overflows, the cosh term in log space, where its exponents are <= 0
+    damp = -0.5 * m * u - 2.0 * m * abs(gamma) ** 2
+    far = pref * (np.exp(-0.5 * m * u) * np.cos(2.0 * m * root * cross.imag)
+                  + 0.5 * (np.exp(damp + z) + np.exp(damp - z)))
+    return np.where(np.isfinite(out), out, far)
+
+
+def _m_mode_w_com_wigner(spec, beta):
+    u = np.minimum(np.abs(beta), 30.0) ** 2
+    return (2.0 / math.pi) * np.exp(-2.0 * u) * ((1.0 - spec.eta) * (4.0 * u - 1.0) + spec.eta)
+
+
+def _m_mode_w_smoothed(spec, alpha):
+    m, u = spec.modes, np.abs(alpha) ** 2
+    return ((2.0 / (math.pi * (m - 1))) * np.exp(-m * u / (m - 1))
+            * ((m * m / (m - 1)) * (1.0 - spec.eta) * u + m * spec.eta - 1.0))
+
+
+def _m_mode_cat_fock(spec):
+    m, gamma, eta = spec.modes, spec.gamma, spec.eta
+    cutoff = fam.coherent_tail_cutoff(gamma)
+    if eta == 0.0:
+        return fam._cat_pure(m, gamma, +1, cutoff)
+    g = math.sqrt(1.0 - eta) * gamma
+    c = math.exp(-2.0 * m * eta * abs(gamma) ** 2)
+    n_plus = 2.0 * (1.0 + math.exp(-2.0 * m * abs(gamma) ** 2))
+    exp_g = math.exp(-2.0 * m * abs(g) ** 2)
+    weights = ((1.0 + exp_g) * (1.0 + c) / n_plus, (1.0 - exp_g) * (1.0 - c) / n_plus)
+    branches = [(w, fam._cat_pure(m, g, sign, cutoff))
+                for w, sign in zip(weights, (1, -1)) if w > 1e-15]
+    total = sum(w for w, _ in branches)
+    return fc.MixedState(tuple((w / total, b) for w, b in branches))
+
+
+_M_MODE = {
+    "w": dict(slice=_m_mode_w, envelope=_m_mode_w_envelope, c_entry=_m_mode_w_c_entry,
+              energy=lambda spec: 1.0 - spec.eta),
+    "cat": dict(slice=_m_mode_cat, envelope=_m_mode_cat_envelope,
+                c_entry=_m_mode_cat_c_entry,
+                energy=lambda spec: ((1.0 - spec.eta) * spec.modes * abs(spec.gamma) ** 2
+                                     * math.tanh(spec.modes * abs(spec.gamma) ** 2))),
+}
+
+
+def _agree(got, want):
+    """Elementwise agreement to 1e-13 relative or 1e-15 absolute."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 + 1e-13 * np.abs(want)), (
+        np.max(np.abs(got - want) / (1e-15 + 1e-13 * np.abs(want))))
+
+
+_DISC = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: rt[0] * complex(math.cos(rt[1]), math.sin(rt[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(["w", "cat"]), modes=st.integers(1, 12),
+       gamma=st.complex_numbers(max_magnitude=2.5), eta=st.floats(0.0, 1.0),
+       points=st.lists(_DISC, min_size=1, max_size=12), corner=_DISC)
+def test_com_lift_matches_the_m_mode_formulas(tag, modes, gamma, eta, points, corner):
+    spec = (fam.w_family(modes, eta=eta) if tag == "w"
+            else fam.cat_family(modes, gamma, eta=eta))
+    old = _M_MODE[tag]
+    pts = np.array(points)
+    # pointwise, and on a lattice block (a column of x, a row of y)
+    _agree(fam.family_wigner_slice(spec, pts), old["slice"](spec, pts.real, pts.imag))
+    x = corner.real + 0.1 * np.arange(-3, 4)[:, None]
+    y = corner.imag + 0.1 * np.arange(-2, 3)[None, :]
+    _agree(fam.family_wigner_slice_xy(spec, x, y), old["slice"](spec, x, y))
+    _agree(fam.family_c_entry(spec, pts), old["c_entry"](spec, pts))
+    env, old_env = fam.slice_abs_envelope(spec), old["envelope"](spec)
+    rho = np.abs(pts)
+    _agree(env(rho), old_env(rho))
+    assert numerics.tail_radius(env) == numerics.tail_radius(old_env)
+    _agree(fam.family_energy(spec), old["energy"](spec))
+    if tag == "w":
+        _agree(fam.family_com_wigner(spec, pts), _m_mode_w_com_wigner(spec, pts))
+        if modes >= 2:
+            kernel = fam.vacuum_kernel(modes - 2)
+            _agree(fam.family_smoothed_wigner(spec, kernel, pts),
+                   _m_mode_w_smoothed(spec, pts))
+        if eta == 0.0:
+            _agree(fam.v2d_closed_form(spec), 4.0 / (modes * math.sqrt(math.e)) - 1.0 / modes)
+    elif gamma != 0 and (fam.coherent_tail_cutoff(gamma) + 1) ** modes <= 1 << 14:
+        got = fc.as_ensemble(fam.family_fock_expansion(spec))
+        want = fc.as_ensemble(_m_mode_cat_fock(spec))
+        assert len(got) == len(want)
+        for (w_got, b_got), (w_want, b_want) in zip(got, want):
+            _agree(w_got, w_want)
+            _agree(b_got.amps, b_want.amps)
+
+
+@pytest.mark.parametrize("spec", [
+    fam.cat_family(1, 0.5), fam.cat_family(1, 0.7, eta=0.2), fam.cat_family(2, 0.2),
+    fam.cat_family(3, 0.05 + 0.02j), fam.cat_family(3, 0.06, eta=0.5),
+], ids=lambda s: s.label())
+def test_cat_com_wigner_against_the_com_density_matrix(spec):
+    # small cats and points near the origin, where neither the oracle's
+    # truncation (a tail below 1e-14) nor its moment sum costs 1e-10
+    rho = witnesses._com_density_matrix(fam.family_fock_expansion(spec), max_photons=20)
+    for beta in (0.0, 0.3 - 0.2j, 0.5j, -0.4):
+        oracle = (2.0 / math.pi) * witnesses._displaced_parity_from_dm(rho, beta)
+        assert fam.family_com_wigner(spec, beta) == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    fam.cat_family(3, 0.6), fam.cat_family(3, 0.6, eta=0.2),
+    fam.cat_family(4, 0.5 - 0.3j, eta=0.1), fam.cat_family(6, 0.4j, eta=0.3),
+], ids=lambda s: s.label())
+def test_cat_smoothed_is_the_further_damped_single_mode_cat(spec):
+    # with M-2 vacuum ancillas the collective mode holds the single-mode cat of
+    # amplitude sqrt(M) gamma after loss 1 - (1 - eta) T, read at sqrt(T) alpha,
+    # T = M/(2M-2): a route through Kraus damping of a one-mode Fock state
+    from cvgme import gaussian_ops as go
+
+    m = spec.modes
+    t = m / (2.0 * m - 2.0)
+    one = fam.family_fock_expansion(fam.cat_family(1, math.sqrt(m) * spec.gamma))
+    damped = go.apply_amplitude_damping(one, 1.0 - (1.0 - spec.eta) * t)
+    for alpha in (0.0, 0.3 - 0.2j, 0.5j, 0.2 + 0.1j):
+        closed = fam.family_smoothed_wigner(spec, fam.vacuum_kernel(m - 2), alpha)
+        assert closed == pytest.approx(ps.wigner_point(damped, [math.sqrt(t) * alpha]),
+                                       abs=1e-12)

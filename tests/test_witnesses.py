@@ -363,11 +363,13 @@ def test_witness_c_matches_smoothed_closed_form():
 
 
 #: One member of each family for the smoothed-form table test; a family not
-#: listed is taken at its default parameters.
-_SMOOTHED_MEMBERS = {"w": "w:M=4,eta=0.2", "cat": "cat:M=3,gamma=0.6", "noon3": "noon3:N=3"}
+#: listed is taken at its default parameters.  The cat is small enough (a
+#: cutoff of 4 per mode) for the oracle's 12-photon budget.
+_SMOOTHED_MEMBERS = {"w": "w:M=4,eta=0.2", "cat": "cat:M=3,gamma=0.05",
+                     "noon3": "noon3:N=3"}
 
 #: The uniform kernels with a tabulated smoothed form, per family.
-_TABULATED = {("w", "vacuum"), ("dicke2", "vacuum"), ("dicke2", "fock1"),
+_TABULATED = {("w", "vacuum"), ("cat", "vacuum"), ("dicke2", "vacuum"), ("dicke2", "fock1"),
               ("noon3", "vacuum"), ("noon3", "fock1"), ("psi1", "vacuum"),
               ("psi2", "vacuum"), ("psi4", "fock1"), ("psi5", "fock1")}
 
@@ -424,6 +426,14 @@ def test_witness_c_photon_budget_hint():
     state = fam.family_fock_expansion(fam.dicke2_family(3))
     with pytest.raises(ResourceLimitError, match="family_smoothed_wigner"):
         wit.witness_c(state, fam.fock_kernel(1, 9), max_photons=8)
+
+
+def test_witness_c_refuses_more_photons_than_the_moment_sum_takes():
+    # 30 photons in the truncated cat: the moment sum would lose digits, and
+    # numpy's sqrt takes no n! past int64
+    state = fam.family_fock_expansion(fam.cat_family(3, 0.5))
+    with pytest.raises(ResourceLimitError, match="limit 20.*family_smoothed_wigner"):
+        wit.witness_c(state, fam.vacuum_kernel(1), max_photons=40)
 
 
 def test_witness_c_dense_entry_budget():
